@@ -29,7 +29,13 @@ type CacheLine struct {
 type Cache struct {
 	capacity int // lines
 	lines    map[Addr]*CacheLine
-	fifo     []Addr // insertion order for eviction
+	// fifo[head:] is the insertion order for eviction. Invalidate leaves
+	// the address in place, and eviction skips addresses that are no
+	// longer resident, so a line invalidated and later reinstalled is
+	// evicted at its first position. The consumed prefix is reclaimed in
+	// place (see push), so a full cache installs without allocating.
+	fifo []Addr
+	head int
 }
 
 // NewCache returns a cache holding capacityBytes worth of 128-byte lines.
@@ -50,28 +56,47 @@ func (c *Cache) Len() int { return len(c.lines) }
 func (c *Cache) Lookup(a Addr) *CacheLine { return c.lines[a.Line()] }
 
 // Install places a line into the cache. If the cache is full it evicts the
-// oldest resident line first and returns it (and its address) so the caller
-// can issue a writeback for exclusive victims. evicted is nil if no eviction
-// was needed.
-func (c *Cache) Install(a Addr, state CacheState, token uint64) (victim Addr, evicted *CacheLine) {
+// oldest resident line first and returns its address and contents, so the
+// caller can issue a writeback for exclusive victims; ok is false if no
+// eviction was needed. The evicted line's storage holds the new line.
+func (c *Cache) Install(a Addr, state CacheState, token uint64) (victim Addr, evicted CacheLine, ok bool) {
 	a = a.Line()
-	if l, ok := c.lines[a]; ok {
+	if l, hit := c.lines[a]; hit {
 		l.State = state
 		l.Token = token
-		return 0, nil
+		return 0, CacheLine{}, false
 	}
+	var l *CacheLine
 	if len(c.lines) >= c.capacity {
-		victim, evicted = c.evictOldest()
+		victim, l = c.evictOldest()
+		if l != nil {
+			evicted, ok = *l, true
+		}
 	}
-	c.lines[a] = &CacheLine{State: state, Token: token}
+	if l == nil {
+		l = new(CacheLine)
+	}
+	*l = CacheLine{State: state, Token: token}
+	c.lines[a] = l
+	c.push(a)
+	return victim, evicted, ok
+}
+
+// push appends a to the eviction order. When the array is full and at
+// least half of it is consumed prefix, the live suffix moves to the front
+// instead of the array growing.
+func (c *Cache) push(a Addr) {
+	if n := len(c.fifo); c.head > 0 && (c.head == n || n == cap(c.fifo) && c.head >= n/2) {
+		c.fifo = c.fifo[:copy(c.fifo, c.fifo[c.head:])]
+		c.head = 0
+	}
 	c.fifo = append(c.fifo, a)
-	return victim, evicted
 }
 
 func (c *Cache) evictOldest() (Addr, *CacheLine) {
-	for len(c.fifo) > 0 {
-		a := c.fifo[0]
-		c.fifo = c.fifo[1:]
+	for c.head < len(c.fifo) {
+		a := c.fifo[c.head]
+		c.head++
 		if l, ok := c.lines[a]; ok {
 			delete(c.lines, a)
 			return a, l
@@ -93,7 +118,7 @@ func (c *Cache) Invalidate(a Addr) *CacheLine {
 // home (all exclusive lines) in deterministic FIFO order. Shared lines are
 // dropped silently: the home copy is valid (§4.5).
 func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
-	for _, a := range c.fifo {
+	for _, a := range c.fifo[c.head:] {
 		l, ok := c.lines[a]
 		if !ok {
 			continue
@@ -104,7 +129,7 @@ func (c *Cache) Flush() (addrs []Addr, lines []*CacheLine) {
 		}
 		delete(c.lines, a)
 	}
-	c.fifo = c.fifo[:0]
+	c.fifo, c.head = c.fifo[:0], 0
 	return addrs, lines
 }
 
@@ -115,18 +140,19 @@ func (c *Cache) Clone() *Cache {
 	n := &Cache{
 		capacity: c.capacity,
 		lines:    make(map[Addr]*CacheLine, len(c.lines)),
-		fifo:     append([]Addr(nil), c.fifo...),
+		fifo:     append([]Addr(nil), c.fifo[c.head:]...),
 	}
+	buf := make([]CacheLine, 0, len(c.lines))
 	for a, l := range c.lines {
-		cl := *l
-		n.lines[a] = &cl
+		buf = append(buf, *l)
+		n.lines[a] = &buf[len(buf)-1]
 	}
 	return n
 }
 
 // ForEach visits resident lines in insertion order.
 func (c *Cache) ForEach(fn func(a Addr, l *CacheLine)) {
-	for _, a := range c.fifo {
+	for _, a := range c.fifo[c.head:] {
 		if l, ok := c.lines[a]; ok {
 			fn(a, l)
 		}

@@ -54,6 +54,23 @@ type DirEntry struct {
 	PendingExcl bool   // the pending request is a GETX
 	AcksLeft    int    // outstanding invalidate acks (DirPendingInval)
 	PendingSeq  uint64 // requester's sequence number, echoed in the reply
+
+	// small holds Sharers on machines of up to 64 nodes, so an entry is
+	// one allocation. Sharers then points into the entry itself: copy an
+	// entry only through cloneEntry.
+	small [1]uint64
+}
+
+// newDirEntry returns a DirInvalid entry with an empty sharer set for a
+// machine of n nodes.
+func newDirEntry(n int) *DirEntry {
+	e := &DirEntry{}
+	if n <= 64 {
+		e.Sharers = e.small[:]
+	} else {
+		e.Sharers = NewNodeSet(n)
+	}
+	return e
 }
 
 // Directory is the home-side protocol state for one node's memory lines.
@@ -97,7 +114,12 @@ func ForkDirectory(nodes int, frozen map[Addr]*DirEntry) *Directory {
 // cloneEntry copies a base entry up into a privately mutable one.
 func cloneEntry(e *DirEntry) *DirEntry {
 	c := *e
-	c.Sharers = e.Sharers.Clone()
+	if len(e.Sharers) == len(c.small) {
+		c.Sharers = c.small[:]
+		copy(c.Sharers, e.Sharers)
+	} else {
+		c.Sharers = e.Sharers.Clone()
+	}
 	return &c
 }
 
@@ -158,7 +180,7 @@ func (d *Directory) Get(a Addr) *DirEntry {
 			return e
 		}
 	}
-	e = &DirEntry{Sharers: NewNodeSet(d.nodes)}
+	e = newDirEntry(d.nodes)
 	d.entries[a] = e
 	return e
 }

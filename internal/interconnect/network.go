@@ -66,12 +66,14 @@ type channel struct {
 	blocked      bool
 	blockedAt    sim.Time
 	waiters      []*channel // channels blocked waiting for space here
-	// inTransit is the set of packets currently being serviced across this
-	// channel's link, used to truncate in-flight packets on link failure.
-	// Tracking it per channel (rather than per link) keeps every map owned
-	// by exactly one region in partitioned mode: a boundary link's two
-	// directions belong to different regions.
-	inTransit map[*Packet]int // pkt -> target router
+	// transit is the packet currently being serviced across this
+	// channel's link (nil when idle), and transitTo its target router;
+	// FailLink truncates it. A channel services one packet at a time, so
+	// one slot suffices. Tracking it per channel (rather than per link)
+	// keeps it owned by exactly one region in partitioned mode: a
+	// boundary link's two directions belong to different regions.
+	transit   *Packet
+	transitTo int
 }
 
 // shrinkFloor is the smallest backing-array capacity dropHead will shrink.
@@ -387,11 +389,10 @@ func (n *Network) FailLink(l int) {
 	}
 	n.linkUp[l] = false
 	// In-transit tracking lives on the link's two sending channels (one
-	// per direction, all lanes). The sets are unordered; process their
-	// packets in injection order so retention (reliable mode) and trace
-	// points come out in a deterministic sequence.
-	var victims []*Packet
-	target := map[*Packet]int{}
+	// per direction, all lanes). Process their packets in injection order
+	// so retention (reliable mode) and trace points come out in a
+	// deterministic sequence.
+	var victims []*channel
 	lk := n.Topo.Links()[l]
 	for _, r := range [2]int{lk.A, lk.B} {
 		p := n.Topo.PortTo(r, lk.A+lk.B-r)
@@ -399,17 +400,17 @@ func (n *Network) FailLink(l int) {
 			continue
 		}
 		for _, ch := range n.routers[r].chans[p] {
-			for pkt, far := range ch.inTransit {
-				victims = append(victims, pkt)
-				target[pkt] = far
+			if ch.transit != nil {
+				victims = append(victims, ch)
 			}
 		}
 	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].flow < victims[j].flow })
-	for _, pkt := range victims {
+	sort.Slice(victims, func(i, j int) bool { return victims[i].transit.flow < victims[j].transit.flow })
+	for _, ch := range victims {
+		pkt := ch.transit
 		pkt.Truncated = true
 		n.mTruncated.Inc()
-		n.tracePkt("truncate", target[pkt], pkt)
+		n.tracePkt("truncate", ch.transitTo, pkt)
 		n.lost(pkt)
 	}
 }
@@ -573,10 +574,7 @@ func (n *Network) kick(ch *channel) {
 		return
 	}
 	ch.serving = true
-	if ch.inTransit == nil {
-		ch.inTransit = make(map[*Packet]int)
-	}
-	ch.inTransit[pkt] = adj.To
+	ch.transit, ch.transitTo = pkt, adj.To
 	if pt := n.cfg.Partition; pt != nil && pt.Of[ch.router] != pt.Of[adj.To] {
 		// Inter-region link: the hop splits into a source-side launch
 		// (frees the channel after the link service time) and a
@@ -604,7 +602,7 @@ func (n *Network) arriveEv(a1, a2 any, u uint64) {
 // output channel (or node) or blocks, keeping its slot in ch.
 func (n *Network) arrive(ch *channel, pkt *Packet, link int) {
 	ch.serving = false
-	delete(ch.inTransit, pkt)
+	ch.transit = nil
 	if n.routers[ch.router].failed || len(ch.q) == 0 || ch.q[0] != pkt {
 		// The source router failed mid-service and already destroyed
 		// this packet (and counted it); nothing left to advance.

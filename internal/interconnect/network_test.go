@@ -161,6 +161,36 @@ func TestInFlightTruncationOnLinkFailure(t *testing.T) {
 	}
 }
 
+// Every packet on the wire of a failing link is truncated, whichever
+// direction and lane it travels, and the losses are reported in injection
+// order rather than in the order the link's channels are visited.
+func TestLinkFailureTruncatesInFlightInInjectionOrder(t *testing.T) {
+	e, n, cols := rig(t, 4, 1)
+	l := topologyLink(t, n, 1, 2)
+	var lost []string
+	n.OnLost = func(p *Packet) { lost = append(lost, p.Payload.(string)) }
+	// All three reach link 1-2 on their second hop and are on it at 250 ns:
+	// two in one direction on different lanes, one in the other.
+	n.Send(&Packet{Src: 3, Dst: 0, Lane: LaneReply, Bytes: 128, Payload: "west"})
+	n.Send(&Packet{Src: 0, Dst: 3, Lane: LaneRequest, Bytes: 128, Payload: "east-req"})
+	n.Send(&Packet{Src: 0, Dst: 3, Lane: LaneReply, Bytes: 128, Payload: "east-reply"})
+	e.At(250, func() { n.FailLink(l) })
+	e.Run()
+	want := []string{"west", "east-req", "east-reply"}
+	if len(lost) != len(want) {
+		t.Fatalf("lost %v, want %v", lost, want)
+	}
+	for i := range want {
+		if lost[i] != want[i] {
+			t.Fatalf("lost %v, want %v", lost, want)
+		}
+	}
+	if n.Stats.DeliveredTrunc != 3 || len(cols[0].got) != 1 || len(cols[3].got) != 2 {
+		t.Fatalf("truncated deliveries %d (west %d, east %d), want 3 (1, 2)",
+			n.Stats.DeliveredTrunc, len(cols[0].got), len(cols[3].got))
+	}
+}
+
 func TestRefusingNodeCongestsFabric(t *testing.T) {
 	e, n, cols := rig(t, 4, 1)
 	cols[3].refuse = true // node 3 controller stuck in an infinite loop

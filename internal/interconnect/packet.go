@@ -62,6 +62,11 @@ type Packet struct {
 	// reception of a truncated packet as a recovery trigger.
 	Truncated bool
 	Injected  sim.Time
+	// Owner is the sender's handle on the allocation that holds this
+	// packet (MAGIC's pooled message envelope). The fabric never reads
+	// it, and retransmission does not copy it, so only the original
+	// packet leads back to its envelope.
+	Owner any
 
 	hop int // index of the current router within SourceRoute
 	// retried marks an end-to-end retransmission (reliable mode); a

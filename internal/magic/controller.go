@@ -234,15 +234,26 @@ type Controller struct {
 	// are writable by everyone.
 	firewall map[coherence.Addr]coherence.NodeSet
 
+	// input is the controller's input buffer, consumed from the front
+	// by shifting in place so its backing array is reused.
 	input []*interconnect.Packet
 	busy  bool
 	// orphans holds exclusive data grants that arrived during drain mode
 	// after their requesting operation was aborted (§4.2/§4.4): the data
-	// is not lost — it is returned home during the P4 flush.
-	orphans []*coherence.Message
+	// is not lost — it is returned home during the P4 flush. Grants are
+	// stashed by value, so their envelopes recycle like any other.
+	orphans []coherence.Message
 
-	mshrs map[uint64]*mshr
+	// mshrs holds the outstanding operations in issue (seq) order. There
+	// are at most a CPU window's worth plus speculative and uncached
+	// operations, so lookups scan it rather than hash into a map.
+	mshrs []*mshr
 	seq   uint64
+
+	// Free lists for the steady-state protocol round trip (see pool.go):
+	// message envelopes and MSHRs. Owned by this controller alone.
+	freeEnvs  []*envelope
+	freeMSHRs []*mshr
 
 	lastNormalDelivery sim.Time
 
@@ -281,7 +292,6 @@ func New(e *sim.Engine, net *interconnect.Network, id int, space coherence.AddrS
 		memSrv:     make([]bool, space.Nodes),
 		slowFactor: 1,
 		firewall:   make(map[coherence.Addr]coherence.NodeSet),
-		mshrs:      make(map[uint64]*mshr),
 	}
 	c.dispatchFn = c.dispatchEv
 	c.completeFn = c.completeEv
@@ -388,7 +398,8 @@ func (c *Controller) CPUDied() {
 		m.timeout.Cancel()
 		m.retry.Cancel()
 	}
-	c.mshrs = make(map[uint64]*mshr)
+	clear(c.mshrs)
+	c.mshrs = c.mshrs[:0]
 }
 
 // CPUDead reports whether the local processor complex has failed while the
@@ -482,6 +493,7 @@ func (c *Controller) Accept(p *interconnect.Packet) bool {
 		}
 		return true
 	}
+	c.mustLive(msg)
 	switch c.mode {
 	case ModeDrain:
 		// §4.4: controllers keep fielding messages while the fabric
@@ -519,7 +531,9 @@ func (c *Controller) process() {
 		return
 	}
 	p := c.input[0]
-	c.input = c.input[1:]
+	n := copy(c.input, c.input[1:])
+	c.input[n] = nil
+	c.input = c.input[:n]
 	c.Net.NodeReady(c.ID) // freed an input slot
 	msg, ok := p.Payload.(*coherence.Message)
 	if !ok {
@@ -527,15 +541,17 @@ func (c *Controller) process() {
 		return
 	}
 	c.busy = true
-	c.E.AfterCall(c.occupancy(msg), c.dispatchFn, msg, nil, 0)
+	c.E.AfterCall(c.occupancy(msg), c.dispatchFn, p, nil, 0)
 }
 
 // dispatchEv fires when a handler's occupancy elapses: apply the handler's
-// effects and continue the dispatch loop.
+// effects, recycle the message's envelope, and continue the dispatch loop.
 func (c *Controller) dispatchEv(a1, _ any, _ uint64) {
+	p := a1.(*interconnect.Packet)
 	c.busy = false
 	c.Stats.HandlersRun++
-	c.handle(a1.(*coherence.Message))
+	c.handle(p.Payload.(*coherence.Message))
+	c.releaseEnvelope(p)
 	c.process()
 }
 
@@ -553,8 +569,8 @@ func (c *Controller) completeEv(a1, a2 any, u uint64) {
 // timeoutEv fires a memory-op timeout for MSHR sequence u; completed
 // operations delete their MSHR, which makes a raced timeout a no-op.
 func (c *Controller) timeoutEv(_, _ any, u uint64) {
-	m, live := c.mshrs[u]
-	if !live {
+	m := c.mshrBySeq(u)
+	if m == nil {
 		return
 	}
 	c.Stats.Timeouts++
@@ -566,7 +582,7 @@ func (c *Controller) timeoutEv(_, _ any, u uint64) {
 // retryEv reissues a NAKed request for MSHR sequence u if it is still
 // outstanding.
 func (c *Controller) retryEv(_, _ any, u uint64) {
-	if m, live := c.mshrs[u]; live {
+	if m := c.mshrBySeq(u); m != nil {
 		c.sendRequest(m)
 	}
 }

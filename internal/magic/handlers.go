@@ -22,10 +22,7 @@ func (c *Controller) handle(msg *coherence.Message) {
 			// An exclusive grant whose requesting operation was
 			// aborted by recovery: the line's only valid copy is in
 			// this message. Stash it; the flush returns it home.
-			if m, ok := c.mshrs[msg.Seq]; ok && c.mode == ModeFlush {
-				_ = m // no outstanding ops survive recovery entry
-			}
-			c.orphans = append(c.orphans, msg)
+			c.orphans = append(c.orphans, *msg)
 		default:
 			c.Stats.DroppedInMode++
 			c.discarded(msg)
@@ -67,7 +64,7 @@ func (c *Controller) reply(req int, ty coherence.MsgType, addr coherence.Addr, s
 	if ty == coherence.MsgBusErr {
 		c.Stats.BusErrors++
 	}
-	c.sendMsg(req, &coherence.Message{Type: ty, Addr: addr, Req: req, Seq: seq, Data: data})
+	c.sendMsg(req, coherence.Message{Type: ty, Addr: addr, Req: req, Seq: seq, Data: data})
 }
 
 // handleGet services a shared-copy request at the home.
@@ -97,7 +94,7 @@ func (c *Controller) handleGet(msg *coherence.Message) {
 		e.PendingReq = msg.Req
 		e.PendingExcl = false
 		e.PendingSeq = msg.Seq
-		c.sendMsg(e.Owner, &coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
+		c.sendMsg(e.Owner, coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
 	case coherence.DirPendingRecall, coherence.DirPendingInval:
 		c.reply(msg.Req, coherence.MsgNak, msg.Addr, msg.Seq, 0)
 	case coherence.DirIncoherent:
@@ -143,7 +140,7 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 		e.AcksLeft = acks
 		e.Sharers.ForEach(func(id int) {
 			if id != msg.Req {
-				c.sendMsg(id, &coherence.Message{Type: coherence.MsgInval, Addr: msg.Addr, Req: c.ID})
+				c.sendMsg(id, coherence.Message{Type: coherence.MsgInval, Addr: msg.Addr, Req: c.ID})
 			}
 		})
 		e.Sharers.Clear()
@@ -161,7 +158,7 @@ func (c *Controller) handleGetX(msg *coherence.Message) {
 		e.PendingReq = msg.Req
 		e.PendingExcl = true
 		e.PendingSeq = msg.Seq
-		c.sendMsg(e.Owner, &coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
+		c.sendMsg(e.Owner, coherence.Message{Type: coherence.MsgRecall, Addr: msg.Addr, Req: c.ID})
 	case coherence.DirPendingRecall, coherence.DirPendingInval:
 		c.reply(msg.Req, coherence.MsgNak, msg.Addr, msg.Seq, 0)
 	case coherence.DirIncoherent:
@@ -240,23 +237,21 @@ func (c *Controller) handleRecall(msg *coherence.Message) {
 	// stale data while our store commits into a copy the directory no
 	// longer tracks — the committed value then vanishes without any
 	// packet ever being lost.
-	for _, m := range c.mshrs {
-		if !m.uncached && m.excl && m.addr == msg.Addr {
-			c.Cache.Invalidate(msg.Addr)
-			m.recalled = true
-			m.recallHome = home
-			return
-		}
+	if m := c.mshrForLine(msg.Addr); m != nil && m.excl {
+		c.Cache.Invalidate(msg.Addr)
+		m.recalled = true
+		m.recallHome = home
+		return
 	}
 	if l := c.Cache.Invalidate(msg.Addr); l != nil {
-		c.sendMsg(home, &coherence.Message{
+		c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: msg.Addr, Req: c.ID, Data: l.Token,
 		})
 		return
 	}
 	// Not resident: our eviction writeback is already ahead of this
 	// reply in the same channel (in-order delivery).
-	c.sendMsg(home, &coherence.Message{Type: coherence.MsgRecallNak, Addr: msg.Addr, Req: c.ID})
+	c.sendMsg(home, coherence.Message{Type: coherence.MsgRecallNak, Addr: msg.Addr, Req: c.ID})
 }
 
 // handleRecallNak resolves a recall whose target no longer held the line.
@@ -278,12 +273,10 @@ func (c *Controller) handleRecallNak(msg *coherence.Message) {
 func (c *Controller) handleInval(msg *coherence.Message) {
 	home := msg.Req
 	c.Cache.Invalidate(msg.Addr)
-	for _, m := range c.mshrs {
-		if !m.uncached && !m.excl && m.addr == msg.Addr {
-			m.invalidated = true
-		}
+	if m := c.mshrForLine(msg.Addr); m != nil && !m.excl {
+		m.invalidated = true
 	}
-	c.sendMsg(home, &coherence.Message{Type: coherence.MsgInvAck, Addr: msg.Addr, Req: c.ID})
+	c.sendMsg(home, coherence.Message{Type: coherence.MsgInvAck, Addr: msg.Addr, Req: c.ID})
 }
 
 // handleInvAck counts invalidation acks at the home and grants the pending
@@ -305,8 +298,8 @@ func (c *Controller) handleInvAck(msg *coherence.Message) {
 
 // handleReply completes (or retries) the requester's outstanding operation.
 func (c *Controller) handleReply(msg *coherence.Message) {
-	m, ok := c.mshrs[msg.Seq]
-	if !ok || m.addr != msg.Addr {
+	m := c.mshrBySeq(msg.Seq)
+	if m == nil || m.addr != msg.Addr {
 		// Aborted or stale. With a dead processor complex the grant's
 		// data dies here — an in-flight exclusive grant may be the copy
 		// the home's directory now accounts to this node — so the oracle
@@ -335,7 +328,7 @@ func (c *Controller) handleReply(msg *coherence.Message) {
 		if m.recalled {
 			// A recall overtook this grant: honor it immediately by
 			// writing the line straight back home instead of caching.
-			c.sendMsg(m.recallHome, &coherence.Message{
+			c.sendMsg(m.recallHome, coherence.Message{
 				Type: coherence.MsgPut, Addr: msg.Addr, Req: c.ID, Data: tok,
 			})
 			c.completeMSHR(m, Result{Token: tok})
@@ -367,7 +360,7 @@ func (c *Controller) handleUncached(msg *coherence.Message) {
 	if msg.IO && c.unit != nil && c.unit[msg.Req] != c.unit[c.ID] {
 		c.Stats.UncachedDenied++
 		c.cfg.Trace.Point(c.E.Now(), c.ID, "magic", "uncached-denied", 0, int64(msg.Req), 0)
-		c.sendMsg(msg.Req, &coherence.Message{Type: coherence.MsgUncachedErr, Req: msg.Req, Seq: msg.Seq})
+		c.sendMsg(msg.Req, coherence.Message{Type: coherence.MsgUncachedErr, Req: msg.Req, Seq: msg.Seq})
 		return
 	}
 	var result any
@@ -379,17 +372,17 @@ func (c *Controller) handleUncached(msg *coherence.Message) {
 	if err != nil {
 		ty = coherence.MsgUncachedErr
 	}
-	c.sendMsg(msg.Req, &coherence.Message{Type: ty, Req: msg.Req, Seq: msg.Seq, UPayload: result})
+	c.sendMsg(msg.Req, coherence.Message{Type: ty, Req: msg.Req, Seq: msg.Seq, UPayload: result})
 }
 
 // handleUncachedReply completes an uncached operation at its issuer.
 func (c *Controller) handleUncachedReply(msg *coherence.Message) {
-	m, ok := c.mshrs[msg.Seq]
-	if !ok || !m.uncached {
+	m := c.mshrBySeq(msg.Seq)
+	if m == nil || !m.uncached {
 		return
 	}
 	m.timeout.Cancel()
-	delete(c.mshrs, m.seq)
+	c.dropMSHR(m)
 	if m.ucb == nil {
 		return
 	}

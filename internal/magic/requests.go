@@ -1,8 +1,6 @@
 package magic
 
 import (
-	"sort"
-
 	"flashfc/internal/coherence"
 	"flashfc/internal/interconnect"
 )
@@ -57,13 +55,11 @@ func (c *Controller) access(addr coherence.Addr, excl, hasStore bool, storeTok u
 	// Merge into an outstanding miss on the same line (one MSHR per
 	// line): a second concurrent grant would clobber the first one's
 	// freshly written data with the stale memory copy.
-	for _, m := range c.mshrs {
-		if !m.uncached && m.addr == addr {
-			m.waiters = append(m.waiters, waiterOp{
-				excl: excl, hasStore: hasStore, storeTok: storeTok, cb: cb,
-			})
-			return
-		}
+	if m := c.mshrForLine(addr); m != nil {
+		m.waiters = append(m.waiters, waiterOp{
+			excl: excl, hasStore: hasStore, storeTok: storeTok, cb: cb,
+		})
+		return
 	}
 	// Miss path: consult the node map before sending (§3.1). A down home
 	// whose memory bank is still served (CPU-fail/memory-survives) stays
@@ -74,11 +70,10 @@ func (c *Controller) access(addr coherence.Addr, excl, hasStore bool, storeTok u
 		c.completeErr(cb, ErrBusError)
 		return
 	}
-	m := &mshr{
-		seq: c.nextSeq(), addr: addr, excl: excl,
-		hasStore: hasStore, storeTok: storeTok, cb: cb,
-	}
-	c.mshrs[m.seq] = m
+	m := c.newMSHR()
+	m.seq, m.addr, m.excl = c.nextSeq(), addr, excl
+	m.hasStore, m.storeTok, m.cb = hasStore, storeTok, cb
+	c.mshrs = append(c.mshrs, m)
 	c.sendRequest(m)
 }
 
@@ -98,7 +93,7 @@ func (c *Controller) sendRequest(m *mshr) {
 		ty = coherence.MsgGetX
 	}
 	home := c.Space.Home(m.addr)
-	c.sendMsg(home, &coherence.Message{Type: ty, Addr: m.addr, Req: c.ID, Seq: m.seq})
+	c.sendMsg(home, coherence.Message{Type: ty, Addr: m.addr, Req: c.ID, Seq: m.seq})
 	c.armTimeout(m)
 }
 
@@ -111,7 +106,10 @@ func (c *Controller) armTimeout(m *mshr) {
 // reports whether the message was actually sent. A data-carrying message
 // suppressed by the node map is reported through the discard hook: its
 // content goes nowhere.
-func (c *Controller) sendMsg(dst int, msg *coherence.Message) bool {
+func (c *Controller) sendMsg(dst int, m coherence.Message) bool {
+	env := c.newEnvelope()
+	env.msg = m
+	msg := &env.msg
 	if !c.reachable(dst) {
 		c.discarded(msg)
 		return false
@@ -120,10 +118,11 @@ func (c *Controller) sendMsg(dst int, msg *coherence.Message) bool {
 	if msg.Type.IsRequest() {
 		lane = interconnect.LaneRequest
 	}
-	c.Net.Send(&interconnect.Packet{
+	env.pkt = interconnect.Packet{
 		Src: c.ID, Dst: dst, Lane: lane,
-		Bytes: msg.Bytes(), Payload: msg,
-	})
+		Bytes: msg.Bytes(), Payload: msg, Owner: env,
+	}
+	c.Net.Send(&env.pkt)
 	return true
 }
 
@@ -132,22 +131,23 @@ func (c *Controller) sendMsg(dst int, msg *coherence.Message) bool {
 func (c *Controller) completeMSHR(m *mshr, res Result) {
 	m.timeout.Cancel()
 	m.retry.Cancel()
-	delete(c.mshrs, m.seq)
+	c.dropMSHR(m)
 	if m.cb != nil {
 		m.cb(res)
 	}
 	for _, w := range m.waiters {
 		c.access(m.addr, w.excl, w.hasStore, w.storeTok, w.cb)
 	}
+	c.recycleMSHR(m)
 }
 
 // install places granted data in the cache, writing back any exclusive
 // victim the installation displaces.
 func (c *Controller) install(addr coherence.Addr, st coherence.CacheState, token uint64) {
-	victim, ev := c.Cache.Install(addr, st, token)
-	if ev != nil && ev.State == coherence.CacheExclusive {
+	victim, ev, ok := c.Cache.Install(addr, st, token)
+	if ok && ev.State == coherence.CacheExclusive {
 		home := c.Space.Home(victim)
-		c.sendMsg(home, &coherence.Message{
+		c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: victim, Req: c.ID, Data: ev.Token,
 		})
 	}
@@ -160,13 +160,13 @@ func (c *Controller) install(addr coherence.Addr, st coherence.CacheState, token
 // failure unit.
 func (c *Controller) SendUncached(dst int, write, io bool, payload any, cb func(any, error)) {
 	m := &mshr{seq: c.nextSeq(), uncached: true, udst: dst, uwrite: write, upayload: payload, ucb: cb}
-	c.mshrs[m.seq] = m
+	c.mshrs = append(c.mshrs, m)
 	ty := coherence.MsgUncachedRead
 	if write {
 		ty = coherence.MsgUncachedWrite
 	}
-	if !c.sendMsg(dst, &coherence.Message{Type: ty, Req: c.ID, Seq: m.seq, UPayload: payload, IO: io}) {
-		delete(c.mshrs, m.seq)
+	if !c.sendMsg(dst, coherence.Message{Type: ty, Req: c.ID, Seq: m.seq, UPayload: payload, IO: io}) {
+		c.dropMSHR(m)
 		c.E.After(c.cfg.CacheHitTime, func() { cb(nil, ErrBusError) })
 		return
 	}
@@ -184,13 +184,7 @@ func (c *Controller) SendUncached(dst int, write, io bool, payload any, cb func(
 func (c *Controller) EnterRecovery() {
 	// Abort in issue order: the completion callbacks re-enter user code,
 	// and whole-machine determinism requires a deterministic order here.
-	seqs := make([]uint64, 0, len(c.mshrs))
-	for s := range c.mshrs {
-		seqs = append(seqs, s)
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
-	for _, s := range seqs {
-		m := c.mshrs[s]
+	for _, m := range c.mshrs {
 		if !m.uncached && c.Space.Home(m.addr) == c.ID {
 			if e := c.Dir.Lookup(m.addr); e != nil &&
 				e.State == coherence.DirExclusive && e.Owner == c.ID &&
@@ -200,8 +194,7 @@ func (c *Controller) EnterRecovery() {
 			}
 		}
 	}
-	for _, s := range seqs {
-		m := c.mshrs[s]
+	for _, m := range c.mshrs {
 		m.timeout.Cancel()
 		m.retry.Cancel()
 		if m.cb != nil {
@@ -217,7 +210,8 @@ func (c *Controller) EnterRecovery() {
 			c.E.After(0, func() { ucb(nil, ErrAborted) })
 		}
 	}
-	c.mshrs = make(map[uint64]*mshr)
+	clear(c.mshrs)
+	c.mshrs = c.mshrs[:0]
 	// Queued writebacks and exclusive grants are still fielded in drain
 	// mode (they carry data); everything else queued is consumed.
 	kept := c.input[:0]
@@ -231,6 +225,7 @@ func (c *Controller) EnterRecovery() {
 			c.discarded(msg)
 		}
 	}
+	clear(c.input[len(kept):])
 	c.input = kept
 	c.SetMode(ModeDrain)
 	c.process()
@@ -241,7 +236,7 @@ func (c *Controller) Outstanding() int { return len(c.mshrs) }
 
 // Orphans exposes the drain-mode grant stash; a node that shuts down
 // before flushing abandons these (the harness oracle counts them lost).
-func (c *Controller) Orphans() []*coherence.Message { return c.orphans }
+func (c *Controller) Orphans() []coherence.Message { return c.orphans }
 
 // FlushCache implements the P4 cache flush (§4.5): every exclusive line is
 // written back to its home (skipping homes the node map reports dead: those
@@ -252,7 +247,7 @@ func (c *Controller) FlushCache() int {
 	sent := 0
 	for i, a := range addrs {
 		home := c.Space.Home(a)
-		if c.sendMsg(home, &coherence.Message{
+		if c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: a, Req: c.ID, Data: lines[i].Token,
 		}) {
 			sent++
@@ -263,7 +258,7 @@ func (c *Controller) FlushCache() int {
 	// refreshed from the grant before the directory sweep.
 	for _, o := range c.orphans {
 		home := c.Space.Home(o.Addr)
-		if c.sendMsg(home, &coherence.Message{
+		if c.sendMsg(home, coherence.Message{
 			Type: coherence.MsgPut, Addr: o.Addr, Req: c.ID, Data: o.Data,
 		}) {
 			sent++

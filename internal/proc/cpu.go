@@ -49,8 +49,16 @@ type CPU struct {
 	Window int
 
 	inflight int
-	queue    []Op
-	paused   bool
+	// queue[head:] holds the operations waiting to issue, in order. A
+	// SubmitN run takes one entry of Kind opStream whose Token counts the
+	// operations it still owes; streams holds the runs' generators in
+	// queue order. queued counts every operation waiting, owed ones
+	// included.
+	queue   []Op
+	head    int
+	streams []func() Op
+	queued  int
+	paused  bool
 	// onDrained fires once when paused and the last in-flight op ends.
 	onDrained func()
 
@@ -120,14 +128,79 @@ func (r *opRecord) retire(res magic.Result) {
 	c.issue()
 }
 
+// opStream marks the queue entry of a SubmitN run.
+const opStream OpKind = -1
+
+// queueKeep is the largest queue array kept once the queue drains: a
+// burst's array is dropped rather than pinned for the CPU's lifetime.
+const queueKeep = 16
+
 // Submit queues an operation for issue.
 func (c *CPU) Submit(op Op) {
-	c.queue = append(c.queue, op)
+	c.push(op)
+	c.queued++
 	c.issue()
 }
 
+// SubmitN queues n operations produced on demand: each time issue reaches
+// this place in the queue it calls next for the next operation, until n
+// have issued. The issue order is the same as Submitting next() n times,
+// but the operations never sit in the queue.
+func (c *CPU) SubmitN(n int, next func() Op) {
+	if n <= 0 {
+		return
+	}
+	c.push(Op{Kind: opStream, Token: uint64(n)})
+	c.streams = append(c.streams, next)
+	c.queued += n
+	c.issue()
+}
+
+// push appends op to the queue. When the array is full and at least half
+// of it is consumed prefix, the live suffix moves to the front instead of
+// the array growing.
+func (c *CPU) push(op Op) {
+	if n := len(c.queue); c.head > 0 && n == cap(c.queue) && c.head >= n/2 {
+		live := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[live:n])
+		c.queue = c.queue[:live]
+		c.head = 0
+	}
+	c.queue = append(c.queue, op)
+}
+
+// pop removes the next operation to issue. A stream's generator runs
+// last, once the queue is consistent again.
+func (c *CPU) pop() Op {
+	c.queued--
+	e := &c.queue[c.head]
+	if e.Kind != opStream {
+		op := *e
+		c.dropHead()
+		return op
+	}
+	next := c.streams[0]
+	if e.Token--; e.Token == 0 {
+		c.streams[0] = nil
+		c.streams = c.streams[1:]
+		c.dropHead()
+	}
+	return next()
+}
+
+// dropHead removes the head entry, resetting a drained queue.
+func (c *CPU) dropHead() {
+	c.queue[c.head] = Op{}
+	if c.head++; c.head == len(c.queue) {
+		if cap(c.queue) > queueKeep {
+			c.queue = nil
+		}
+		c.queue, c.head = c.queue[:0], 0
+	}
+}
+
 // QueueLen reports operations waiting to issue.
-func (c *CPU) QueueLen() int { return len(c.queue) }
+func (c *CPU) QueueLen() int { return c.queued }
 
 // Inflight reports operations issued but not completed.
 func (c *CPU) Inflight() int { return c.inflight }
@@ -146,9 +219,8 @@ func (c *CPU) Resume() {
 func (c *CPU) Paused() bool { return c.paused }
 
 func (c *CPU) issue() {
-	for !c.paused && c.inflight < c.Window && len(c.queue) > 0 {
-		op := c.queue[0]
-		c.queue = c.queue[1:]
+	for !c.paused && c.inflight < c.Window && c.queued > 0 {
+		op := c.pop()
 		c.inflight++
 		c.Stats.Issued++
 		done := c.newRecord(op).done
@@ -174,8 +246,8 @@ type Snapshot struct {
 // Snapshot captures the processor state, panicking if operations are
 // still queued or in flight.
 func (c *CPU) Snapshot() Snapshot {
-	if c.inflight > 0 || len(c.queue) > 0 {
-		panic(fmt.Sprintf("proc: snapshot of CPU %d with %d in flight, %d queued", c.ID, c.inflight, len(c.queue)))
+	if c.inflight > 0 || c.queued > 0 {
+		panic(fmt.Sprintf("proc: snapshot of CPU %d with %d in flight, %d queued", c.ID, c.inflight, c.queued))
 	}
 	return Snapshot{Stats: c.Stats, Paused: c.paused}
 }

@@ -10,7 +10,7 @@ import (
 	"flashfc/internal/topology"
 )
 
-func newCPU(t *testing.T) (*sim.Engine, *CPU, *magic.Controller) {
+func newCPU(t testing.TB) (*sim.Engine, *CPU, *magic.Controller) {
 	t.Helper()
 	e := sim.NewEngine(1)
 	topo := topology.NewMesh(2, 1)
@@ -128,5 +128,44 @@ func TestAbortedCounted(t *testing.T) {
 	}
 	if cpu.Stats.Aborted != 1 {
 		t.Fatalf("stats = %+v", cpu.Stats)
+	}
+}
+
+// SubmitN holds one place in the queue: its operations issue after
+// everything queued before it and before everything queued after it,
+// exactly as if they had been submitted one by one.
+func TestSubmitNIssuesInQueueOrder(t *testing.T) {
+	e, cpu, _ := newCPU(t)
+	cpu.Window = 1 // completions then follow issue order
+	var order []coherence.Addr
+	op := func(a coherence.Addr) Op {
+		return Op{Kind: OpRead, Addr: a, Done: func(magic.Result) { order = append(order, a) }}
+	}
+	cpu.Pause()
+	cpu.Submit(op(0x000))
+	next := coherence.Addr(0x100)
+	cpu.SubmitN(3, func() Op {
+		a := next
+		next += 0x80
+		return op(a)
+	})
+	cpu.Submit(op(0x080))
+	if cpu.QueueLen() != 5 {
+		t.Fatalf("queued = %d, want 5", cpu.QueueLen())
+	}
+	cpu.Resume()
+	cpu.Submit(op(0x400)) // queued behind the whole run
+	e.Run()
+	want := []coherence.Addr{0x000, 0x100, 0x180, 0x200, 0x080, 0x400}
+	if len(order) != len(want) {
+		t.Fatalf("completed %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("completed %v, want %v", order, want)
+		}
+	}
+	if cpu.QueueLen() != 0 {
+		t.Fatalf("queued = %d after the run", cpu.QueueLen())
 	}
 }
