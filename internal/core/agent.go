@@ -135,9 +135,14 @@ type Config struct {
 	// Routing selects the interconnect-recovery routing strategy P3 runs:
 	// its drain discipline, table repair, and per-entry reprogramming
 	// charge. nil is the paper's policy (full two-phase drain + complete
-	// up*/down* rewrite) on the exact pre-strategy code path, keeping
+	// up*/down* rewrite) without the strategy-only counters, keeping
 	// every golden byte-identical.
 	Routing routing.Strategy
+
+	// Repairs, when non-nil, shares P3's table repair: it is computed once
+	// per converged view and reused read-only. Shared by every agent of
+	// one machine; nil computes the repair per agent.
+	Repairs *RepairCache
 
 	// Metrics, when non-nil, receives machine-wide recovery-algorithm
 	// counters (gossip rounds, BFT bound growth, drain attempts/restarts,
@@ -290,6 +295,11 @@ func (a *Agent) Epoch() int { return a.epoch }
 
 // Report returns the agent's (possibly in-progress) report.
 func (a *Agent) Report() *Report { return a.report }
+
+// View returns the converged view and dissemination BFT of the current
+// epoch, from which P3 repairs the routing tables; both are nil until P2
+// completes. Callers must not modify them.
+func (a *Agent) View() (*topology.View, *topology.BFT) { return a.view, a.bft }
 
 func (a *Agent) setPhase(p Phase) {
 	a.phase = p

@@ -252,3 +252,47 @@ func TestTriggerIgnoredWhileRunningAndWhenDead(t *testing.T) {
 		t.Fatal("killed agent must not restart")
 	}
 }
+
+// A gossip payload is one snapshot per round, shared by every recipient
+// (lame-duck echoes ship the final state itself), so receivers must only
+// read it: every delivered state must be unchanged after the run, when each
+// receiver has long merged it.
+func TestGossipPayloadUnchangedByMerge(t *testing.T) {
+	r := newRig(t, 4, 2, nil)
+	type delivered struct {
+		msg  *recMsg
+		seen *sysState
+	}
+	var got []delivered
+	recipients := map[*sysState]int{}
+	for i, a := range r.agents {
+		r.ctrls[i].SetRecoveryHandler(func(p *interconnect.Packet) {
+			if m, ok := p.Payload.(*recMsg); ok && m.Kind == kState {
+				got = append(got, delivered{m, m.State.clone()})
+				recipients[m.State]++
+			}
+			a.handlePacket(p)
+		})
+	}
+	r.ctrls[6].SetMode(magic.ModeDead)
+	r.agents[6].Kill()
+	r.agents[2].Trigger(magic.ReasonTimeout)
+	r.run(t, 2*sim.Second, []int{0, 1, 2, 3, 4, 5, 7})
+	if len(got) == 0 {
+		t.Fatal("no gossip delivered")
+	}
+	for i, d := range got {
+		if !statesEqual(d.msg.State, d.seen) {
+			t.Fatalf("payload %d (round %d from %d) changed after delivery", i, d.msg.Round, d.msg.From)
+		}
+	}
+	shared := 0
+	for _, n := range recipients {
+		if n > 1 {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no payload was shared across a round's recipients")
+	}
+}

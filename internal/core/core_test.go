@@ -199,3 +199,16 @@ func TestPhaseStrings(t *testing.T) {
 		}
 	}
 }
+
+// maxInto is mergeTri applied element-wise, over every pair of values.
+func TestMaxIntoMatchesMergeTri(t *testing.T) {
+	for a := triUnknown; a <= triDown; a++ {
+		for b := triUnknown; b <= triDown; b++ {
+			dst := []tri{a}
+			changed := maxInto(dst, []tri{b})
+			if want := mergeTri(a, b); dst[0] != want || changed != (want != a) {
+				t.Errorf("maxInto(%d, %d) = %d changed=%v, want %d", a, b, dst[0], changed, want)
+			}
+		}
+	}
+}

@@ -31,7 +31,9 @@ func (a *Agent) startDissemination() {
 func (a *Agent) gossipWords() int { return a.st.words() + 4 }
 
 // sendRound serializes the node's current state once and ships it to every
-// cwn member, charging the marshaling plus per-destination send costs.
+// cwn member, charging the marshaling plus per-destination send costs. The
+// one snapshot is shared by all of the round's messages; receivers only
+// read it.
 func (a *Agent) sendRound() {
 	words := a.gossipWords()
 	charge := timing.InstrGossipRoundFixed + words*timing.InstrGossipPerWord +
@@ -43,10 +45,11 @@ func (a *Agent) sendRound() {
 			return
 		}
 		a.mGossipRounds.Inc()
+		snap := a.st.clone()
 		for _, q := range a.cwn {
 			a.sendRec(q, a.cwnPath[q], interconnect.LaneRecoveryA, &recMsg{
 				Kind: kState, Round: round,
-				State: a.st.clone(), Target: a.target, Hint: a.hint,
+				State: snap, Target: a.target, Hint: a.hint,
 			})
 		}
 		a.checkRound()
@@ -55,12 +58,13 @@ func (a *Agent) sendRound() {
 
 // onState buffers an incoming gossip message and advances the round when
 // complete. After dissemination has finished locally, incoming state
-// messages get an immediate echo of the final state instead.
+// messages get an immediate echo of the final state instead. The echo ships
+// finalState itself: it is never mutated, only replaced on restart.
 func (a *Agent) onState(m *recMsg) {
 	if a.phase > PhaseDissemination && a.finalState != nil {
 		a.sendRec(m.From, a.routeTo(m.From), interconnect.LaneRecoveryA, &recMsg{
 			Kind: kState, Round: m.Round,
-			State: a.finalState.clone(), Target: a.target, Hint: a.hint,
+			State: a.finalState, Target: a.target, Hint: a.hint,
 		})
 		return
 	}

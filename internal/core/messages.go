@@ -50,7 +50,7 @@ type recMsg struct {
 
 	// kState fields:
 	Round  int
-	State  *sysState // deep copy at send time
+	State  *sysState // sender's snapshot at send time; read-only, shared
 	Target int       // sender's current termination-round bound
 	Hint   int       // BFT-height hint (0 = none), §4.3 scheduling optimization
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"flashfc/internal/routing"
 	"flashfc/internal/timing"
@@ -14,12 +16,16 @@ import (
 // coherence traffic is injected.
 //
 // The drain discipline and the table repair are owned by the configured
-// routing.Strategy. A nil strategy is the paper's policy on the exact
-// pre-strategy code path — full two-phase drain, complete up*/down*
-// rewrite, identical charges, barrier names, spans and counters — so every
+// routing.Strategy. A nil strategy is the paper's policy with the pre-
+// strategy observables — full two-phase drain, complete up*/down* rewrite,
+// identical charges, barrier names, spans and counters — so every
 // pre-existing golden stays byte-identical. Alternatives swap in a
 // single-phase drain (DrainPartial) or none at all (DrainNone) and charge
 // reprogramming per entry actually patched.
+//
+// The repair itself is a pure function of the converged view, which every
+// agent of a machine holds identically, so the agents share one computation
+// through a RepairCache; each still pays its own simulated charge.
 
 func (a *Agent) startInterconnectRecovery() {
 	a.setPhase(PhaseInterconnect)
@@ -151,19 +157,19 @@ func (a *Agent) drainQuietCheck(name string, attempt int) {
 	a.E.After(a.cfg.DrainTau, check)
 }
 
-// reprogramRoutes computes the strategy's repair on the surviving graph
+// reprogramRoutes looks up the strategy's repair on the surviving graph
 // (the paper's: full up*/down* tables) and installs this node's router row
 // (the root also handles dead nodes' live routers), then barriers before
-// new traffic is allowed (§4.4). The paper path charges a full-row rewrite;
-// strategies charge per entry their repair actually patched.
+// new traffic is allowed (§4.4). Every strategy charges per entry its
+// repair rewrites; the paper's rewrites whole rows.
 func (a *Agent) reprogramRoutes() {
-	n := a.Topo.Routers()
 	strat := a.cfg.Routing
-	var rep routing.Repair
-	charge := n * timing.InstrRouteTablePerEntry
-	if strat != nil {
-		rep = strat.RepairTables(a.view, a.bft)
-		charge = rep.PatchedPerRouter[a.ID] * timing.InstrRouteTablePerEntry
+	if strat == nil {
+		strat = routing.Paper
+	}
+	rep := a.cfg.Repairs.Repair(strat, a.view, a.bft)
+	charge := rep.PatchedPerRouter[a.ID] * timing.InstrRouteTablePerEntry
+	if a.cfg.Routing != nil {
 		a.mRoutesPatched.Add(uint64(rep.PatchedPerRouter[a.ID]))
 		if rep.Fallback {
 			a.mRouteFallbacks.Inc()
@@ -174,15 +180,11 @@ func (a *Agent) reprogramRoutes() {
 	}
 	spRoutes := a.cfg.Trace.Begin(a.E.Now(), a.ID, "route-reprogram", a.spPhase, 0)
 	a.execInstr(charge, func() {
-		tables := rep.Tables
-		if strat == nil {
-			tables = topology.UpDownTables(a.view, a.bft)
-		}
-		a.Net.SetRouterTable(a.ID, tables[a.ID])
+		a.Net.SetRouterTable(a.ID, rep.Tables[a.ID])
 		if a.ID == a.root {
-			for r := 0; r < n; r++ {
+			for r := 0; r < a.Topo.Routers(); r++ {
 				if a.st.Routers[r] == triUp && a.st.Nodes[r] != triUp {
-					a.Net.SetRouterTable(r, tables[r])
+					a.Net.SetRouterTable(r, rep.Tables[r])
 				}
 			}
 		}
@@ -193,4 +195,47 @@ func (a *Agent) reprogramRoutes() {
 		})
 		a.barrierReady("p3-post", false)
 	})
+}
+
+// RepairCache shares P3's table repair among the agents of one machine.
+// The repair is a pure function of the converged view and the dissemination
+// BFT, which is itself a pure function of the view and its root, so the
+// entry is keyed by the view's router and link states plus the root. One
+// entry — the last view seen — suffices: every agent of an epoch converges
+// on the same view, and a restart that yields a different one replaces it.
+// The strategy is fixed per machine and is not part of the key.
+//
+// The returned repair is shared: callers must treat it as read-only
+// (Network.SetRouterTable copies the rows it installs). A mutex guards the
+// entry because agents in different partition regions may reach P3 in the
+// same parallel window; whichever computes first, the result is the same.
+type RepairCache struct {
+	mu      sync.Mutex
+	ok      bool
+	routers []bool
+	links   []bool
+	root    int
+	rep     routing.Repair
+}
+
+// Repair returns strat's repair for (v, bft), computing it only when the
+// key differs from the cached entry. A nil cache computes it uncached.
+func (c *RepairCache) Repair(strat routing.Strategy, v *topology.View, bft *topology.BFT) routing.Repair {
+	if c == nil {
+		return strat.RepairTables(v, bft)
+	}
+	root := -1
+	if bft != nil {
+		root = bft.Root
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ok && c.root == root && slices.Equal(c.routers, v.RouterUp) && slices.Equal(c.links, v.LinkUp) {
+		return c.rep
+	}
+	c.rep = strat.RepairTables(v, bft)
+	c.ok, c.root = true, root
+	c.routers = append(c.routers[:0], v.RouterUp...)
+	c.links = append(c.links[:0], v.LinkUp...)
+	return c.rep
 }

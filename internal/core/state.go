@@ -80,22 +80,19 @@ func (s *sysState) clone() *sysState {
 
 // merge folds other into s and reports whether anything changed.
 func (s *sysState) merge(other *sysState) bool {
+	n := maxInto(s.Nodes, other.Nodes)
+	r := maxInto(s.Routers, other.Routers)
+	l := maxInto(s.Links, other.Links)
+	return n || r || l
+}
+
+// maxInto applies mergeTri element-wise — under the order unknown < up <
+// down it is the maximum — and reports whether dst changed.
+func maxInto(dst, src []tri) bool {
 	changed := false
-	for i, v := range other.Nodes {
-		if m := mergeTri(s.Nodes[i], v); m != s.Nodes[i] {
-			s.Nodes[i] = m
-			changed = true
-		}
-	}
-	for i, v := range other.Routers {
-		if m := mergeTri(s.Routers[i], v); m != s.Routers[i] {
-			s.Routers[i] = m
-			changed = true
-		}
-	}
-	for i, v := range other.Links {
-		if m := mergeTri(s.Links[i], v); m != s.Links[i] {
-			s.Links[i] = m
+	for i, v := range src {
+		if v > dst[i] {
+			dst[i] = v
 			changed = true
 		}
 	}

@@ -291,6 +291,9 @@ func build(cfg Config, snap *Snapshot) *Machine {
 	rcfg.Metrics = reg
 	rcfg.Trace = cfg.Trace
 	rcfg.Routing = strat
+	// Every agent converges on the same view, so P3's table repair is
+	// computed once per machine. Never snapshotted: a fork gets its own.
+	rcfg.Repairs = &core.RepairCache{}
 	rcfg.ReliableInterconnect = rcfg.ReliableInterconnect || cfg.ReliableInterconnect
 	rcfg.FailureUnits = cfg.FailureUnits
 	rcfg.MemServes = func(n int) bool { return m.memSurvives[n] }

@@ -83,8 +83,10 @@ type Strategy interface {
 	PristineTables(t *topology.Topology) topology.Tables
 	// RepairTables computes the tables to install on the surviving graph.
 	// v is the stabilized post-dissemination view, bft the dissemination
-	// BFT rooted at the elected root. Deterministic: every agent computes
-	// the identical repair from its converged view.
+	// BFT rooted at the elected root. It must be a pure function of
+	// (v, bft) that neither mutates nor keeps the returned tables: every
+	// agent converges on the same view, so one machine computes the repair
+	// once and shares the result read-only among all of its agents.
 	RepairTables(v *topology.View, bft *topology.BFT) Repair
 	// Drain is the discipline P3 runs before installing the repair.
 	Drain() DrainKind

@@ -19,13 +19,16 @@ const PortLocal = -2
 type Tables [][]int
 
 // NewTables allocates an n×n table filled with -1 and the local diagonal.
+// The rows are cut from one n*n slab at capped length, so an append to a
+// row reallocates instead of writing into the next row.
 func NewTables(n int) Tables {
+	slab := make([]int, n*n)
+	for i := range slab {
+		slab[i] = -1
+	}
 	tb := make(Tables, n)
 	for r := range tb {
-		tb[r] = make([]int, n)
-		for d := range tb[r] {
-			tb[r][d] = -1
-		}
+		tb[r] = slab[r*n : (r+1)*n : (r+1)*n]
 		tb[r][r] = PortLocal
 	}
 	return tb
@@ -125,17 +128,21 @@ func UpDownTables(v *View, bft *BFT) Tables {
 	if bft == nil {
 		return tb
 	}
+	// The wave buffers are reset per destination rather than reallocated;
+	// the queue is walked by a head index, in the same FIFO order.
+	inDown := make([]bool, n)
+	inUp := make([]bool, n)
+	queue := make([]int, 0, n)
 	for d := 0; d < n; d++ {
 		if !v.RouterUp[d] || bft.Dist[d] < 0 {
 			continue
 		}
 		// Wave 1: routers reaching d via down-traversals only.
-		inDown := make([]bool, n)
+		clear(inDown)
 		inDown[d] = true
-		queue := []int{d}
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
+		queue = append(queue[:0], d)
+		for head := 0; head < len(queue); head++ {
+			r := queue[head]
 			// A router q can go down into r iff the traversal q→r is
 			// a down traversal, i.e. r is the *down* end, i.e. the
 			// reverse traversal r→q is up.
@@ -153,16 +160,15 @@ func UpDownTables(v *View, bft *BFT) Tables {
 			}
 		}
 		// Wave 2: routers reaching the down-region via up-traversals.
-		inUp := make([]bool, n)
-		for r := range inDown {
-			if inDown[r] {
-				inUp[r] = true
+		copy(inUp, inDown)
+		queue = queue[:0]
+		for r, in := range inDown {
+			if in {
 				queue = append(queue, r)
 			}
 		}
-		for len(queue) > 0 {
-			r := queue[0]
-			queue = queue[1:]
+		for head := 0; head < len(queue); head++ {
+			r := queue[head]
 			// A router q can go up into r iff q→r is an up traversal,
 			// i.e. the reverse r→q is down.
 			for _, a := range v.T.Adjacency(r) {
