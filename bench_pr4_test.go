@@ -25,7 +25,6 @@ func benchPR4Validation(b *testing.B, nodes, runs int) {
 	cfg.MemBytes = 64 << 10
 	cfg.L2Bytes = 16 << 10
 	cfg.FillLines = 64
-	cfg.Workers = 1
 	// Warm-start sharing (PR 5) is pinned off so this series keeps
 	// measuring the full un-amortized per-run cost across PRs; the
 	// BenchmarkPR5 series measures the warm-start gain explicitly.
@@ -64,13 +63,12 @@ func BenchmarkPR4EndToEnd(b *testing.B) {
 	cfg := flashfc.DefaultEndToEndConfig()
 	cfg.MemBytes = 256 << 10
 	cfg.L2Bytes = 32 << 10
-	cfg.Workers = 1
 	var eventsPerSec, eventsPerOp float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out := flashfc.RunCampaign(
-			flashfc.CampaignConfig{Seed: 7, Runs: 2, Workers: cfg.Workers},
+			flashfc.CampaignConfig{Seed: 7, Runs: 2, Workers: 1},
 			flashfc.EndToEndCampaign{Config: cfg, Fault: flashfc.NodeFailure})
 		for _, r := range out.Runs {
 			if r.Err != nil || !r.Value.OK() {

@@ -26,14 +26,12 @@ func benchPR7Tail(b *testing.B, warm flashfc.WarmStartMode) {
 	cfg := flashfc.DefaultTailConfig()
 	cfg.BurstLines = 16
 	cfg.Stride = 32
-	cfg.Runs = 16
-	cfg.Workers = 1
-	cfg.WarmStart = warm
+	cc := flashfc.CampaignConfig{Seed: 11, Runs: 16, Workers: 1, WarmStart: warm}
 	var events float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := flashfc.RunTailCampaign(cfg, 11)
+		r := flashfc.RunTailCampaign(cc, cfg)
 		for _, sc := range r.Scenarios {
 			if sc.Failed != 0 {
 				b.Fatalf("%v: %d/%d runs failed", sc.Fault, sc.Failed, sc.Runs)

@@ -22,8 +22,7 @@ func benchPR8Tail(b *testing.B, observed bool) {
 	cfg := flashfc.DefaultTailConfig()
 	cfg.BurstLines = 16
 	cfg.Stride = 32
-	cfg.Runs = 16
-	cfg.Workers = 1
+	cc := flashfc.CampaignConfig{Seed: 11, Runs: 16, Workers: 1}
 	var events float64
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -32,11 +31,11 @@ func benchPR8Tail(b *testing.B, observed bool) {
 		if observed {
 			log = flashfc.NewRunLog(io.Discard, false)
 			progress := flashfc.NewProgress(io.Discard)
-			cfg.Observe = flashfc.MultiSink(log, progress)
+			cc.Observe = flashfc.MultiSink(log, progress)
 		}
-		r := flashfc.RunTailCampaign(cfg, 11)
+		r := flashfc.RunTailCampaign(cc, cfg)
 		if observed {
-			cfg.Observe.Finish()
+			cc.Observe.Finish()
 			if err := log.Err(); err != nil {
 				b.Fatalf("run log: %v", err)
 			}

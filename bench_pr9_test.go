@@ -23,15 +23,13 @@ func benchPR9Routing(b *testing.B, strategy string) {
 	cfg := flashfc.DefaultRoutingConfig()
 	cfg.BurstLines = 16
 	cfg.Stride = 32
-	cfg.Runs = 8
-	cfg.Workers = 1
 	cfg.Strategies = []string{strategy}
 	cfg.Scenarios = []flashfc.RoutingScenarioSpec{{Name: "single-link", Links: 1}}
 	var events, recovery float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := flashfc.RunRoutingCampaign(cfg, 11)
+		r := flashfc.RunRoutingCampaign(flashfc.CampaignConfig{Seed: 11, Runs: 8, Workers: 1}, cfg)
 		for _, sc := range r.Scenarios {
 			for _, c := range sc.Cells {
 				if c.Failed != 0 || c.Deadlocks != 0 {

@@ -171,11 +171,10 @@ func benchCampaign(b *testing.B, workers int) {
 	cfg.MemBytes = 64 << 10
 	cfg.L2Bytes = 16 << 10
 	cfg.FillLines = 48
-	cfg.Workers = workers
 	var eventsPerSec float64
 	for i := 0; i < b.N; i++ {
 		out := flashfc.RunCampaign(
-			flashfc.CampaignConfig{Seed: int64(i + 1), Runs: 16, Workers: cfg.Workers},
+			flashfc.CampaignConfig{Seed: int64(i + 1), Runs: 16, Workers: workers},
 			flashfc.ValidationCampaign{Config: cfg, Fault: flashfc.NodeFailure})
 		for _, r := range out.Runs {
 			if r.Err != nil || !r.Value.OK() {
@@ -200,13 +199,12 @@ func BenchmarkCampaignTable53(b *testing.B) {
 	cfg.MemBytes = 64 << 10
 	cfg.L2Bytes = 16 << 10
 	cfg.FillLines = 48
-	cfg.Workers = 0 // one per CPU
 	var eventsPerSec float64
 	for i := 0; i < b.N; i++ {
 		var stats flashfc.CampaignStats
 		for _, ft := range flashfc.AllFaultTypes() {
 			out := flashfc.RunCampaign(
-				flashfc.CampaignConfig{Seed: int64(i + 1), Runs: 4, Workers: cfg.Workers},
+				flashfc.CampaignConfig{Seed: int64(i + 1), Runs: 4, Workers: 0}, // one per CPU
 				flashfc.ValidationCampaign{Config: cfg, Fault: ft})
 			for _, r := range out.Runs {
 				if r.Err != nil || !r.Value.OK() {

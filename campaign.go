@@ -27,43 +27,10 @@ import (
 //	fmt.Println(out.Stats)
 
 // CampaignConfig is the execution envelope of one campaign: everything
-// about how runs execute, nothing about what they simulate.
-type CampaignConfig struct {
-	// Seed is the campaign's base seed. Experiments with a non-negative
-	// Stream derive every run's engine seed as DeriveSeed(Seed, stream, i);
-	// sweep experiments with a negative Stream receive Seed directly and
-	// derive internally (their run index is a sweep coordinate, not a
-	// repetition).
-	Seed int64
-	// Runs is the number of runs for experiments that repeat (Points() ==
-	// 0). Fixed sweeps (Fig 5.5's node counts, …) ignore it.
-	Runs int
-	// Workers bounds the goroutines the campaign may use; 0 means one per
-	// CPU. Any worker count yields bit-identical results.
-	Workers int
-	// Metrics, when set, merges every non-crashed run's machine-wide
-	// metric snapshot (in run order) into CampaignResult.Metrics.
-	Metrics bool
-	// Trace, when non-nil, collects the run's event timeline. It applies
-	// only to single-run campaigns: interleaving many runs' simulated
-	// timelines into one trace produces nonsense, so multi-run campaigns
-	// ignore it.
-	Trace *Tracer
-	// WarmStart controls warm-up amortization for experiments that support
-	// it (those implementing WarmExperiment, e.g. ValidationCampaign). The
-	// default (Auto) shares one warmed machine snapshot per worker and
-	// forks every run from it; Off rebuilds the warm state privately for
-	// every run. Both modes execute the identical per-run computation, so
-	// results are bit-identical — Off is the cross-check and the cost
-	// baseline. Experiments without warm support ignore it.
-	WarmStart WarmStartMode
-	// Observe, when non-nil, receives the campaign's observability stream:
-	// one Batch announcement, then one RunRecord per run in completion
-	// order (sinks needing index order reorder internally — RunLog does).
-	// RunCampaign never calls Finish; the sink's owner does, after its
-	// last campaign.
-	Observe Sink
-}
+// about how runs execute (seed, run count, parallelism, metrics, tracing,
+// warm-start, observer), nothing about what they simulate. Every campaign
+// family — RunCampaign, RunTailCampaign, RunRoutingCampaign — takes it.
+type CampaignConfig = experiments.CampaignConfig
 
 // RunEnv is the per-run environment RunCampaign hands an Experiment.
 type RunEnv struct {
@@ -152,7 +119,9 @@ func (r CampaignResult[T]) Values() []T {
 // runs on up to cfg.Workers goroutines, with per-run seeds derived from
 // (cfg.Seed, exp.Stream(), i). Results are bit-identical for any worker
 // count; a run that panics becomes a failed CampaignRun instead of
-// aborting the campaign.
+// aborting the campaign. It adapts exp onto the one forked-batch path
+// (experiments.RunBatch): a WarmExperiment forks its runs from Warmup,
+// built once per worker or — with warm-start off — once per run.
 func RunCampaign[T any](cfg CampaignConfig, exp Experiment[T]) CampaignResult[T] {
 	n := exp.Points()
 	if n == 0 {
@@ -162,43 +131,16 @@ func RunCampaign[T any](cfg CampaignConfig, exp Experiment[T]) CampaignResult[T]
 	if n == 1 {
 		env.Trace = cfg.Trace
 	}
-	stream := exp.Stream()
-	seedFor := func(i int) int64 {
-		if stream >= 0 {
-			return runner.DeriveSeed(cfg.Seed, stream, i)
-		}
-		return cfg.Seed
-	}
-	var setup func() any
-	run := func(i int, _ any, rec *runner.Recorder) T {
-		v := exp.Run(env, i, seedFor(i))
-		rec.Report(eventsOf(v))
-		return v
+	b := experiments.Batch[T]{
+		Batch:  batchOf(exp, n),
+		Stream: exp.Stream(),
+		Run:    func(i int, _ any, seed int64) T { return exp.Run(env, i, seed) },
 	}
 	if warm, ok := exp.(WarmExperiment[T]); ok {
-		if cfg.WarmStart.Enabled() {
-			setup = func() any { return warm.Warmup(cfg) }
-			run = func(i int, ws any, rec *runner.Recorder) T {
-				v := warm.RunWarm(env, ws, i, seedFor(i))
-				rec.Report(eventsOf(v))
-				return v
-			}
-		} else {
-			run = func(i int, _ any, rec *runner.Recorder) T {
-				v := warm.RunWarm(env, warm.Warmup(cfg), i, seedFor(i))
-				rec.Report(eventsOf(v))
-				return v
-			}
-		}
+		b.Warmup = func(int64) any { return warm.Warmup(cfg) }
+		b.Run = func(i int, ws any, seed int64) T { return warm.RunWarm(env, ws, i, seed) }
 	}
-	var observe func(i int, r runner.Result[T])
-	if cfg.Observe != nil {
-		cfg.Observe.StartBatch(batchOf(exp, n))
-		observe = func(i int, r runner.Result[T]) {
-			cfg.Observe.RunDone(campaignRecord(i, seedFor(i), r))
-		}
-	}
-	results, stats := runner.CampaignWithSetup(n, cfg.Workers, setup, run, observe)
+	results, stats := experiments.RunBatch(cfg, b)
 	out := CampaignResult[T]{Stats: stats, Runs: make([]CampaignRun[T], len(results))}
 	var snaps []*MetricsSnapshot
 	for i, r := range results {
@@ -237,72 +179,6 @@ func batchOf(exp any, n int) obs.Batch {
 	}
 }
 
-// campaignRecord reduces one campaign run to its observability record,
-// extracting the outcome fields the known result types carry.
-func campaignRecord[T any](i int, seed int64, r runner.Result[T]) obs.RunRecord {
-	rec := obs.RunRecord{
-		Run:    i,
-		Seed:   seed,
-		Events: r.Events,
-		WallNS: r.Wall.Nanoseconds(),
-		Worker: r.Worker,
-	}
-	if r.Err != nil {
-		rec.Outcome = obs.OutcomePanic
-		rec.Note = r.Err.Error()
-		return rec
-	}
-	switch v := any(r.Value).(type) {
-	case *ValidationResult:
-		return experiments.RunRecordOf(i, seed, runner.Result[*ValidationResult]{
-			Value: v, Wall: r.Wall, Events: r.Events, Worker: r.Worker,
-		})
-	case *EndToEndResult:
-		rec.Fault = v.Fault.String()
-		rec.ContainmentNS = int64(v.HW + v.OS)
-		if v.OK() {
-			rec.Outcome = obs.OutcomePass
-		} else {
-			rec.Outcome = obs.OutcomeFail
-			rec.Note = v.Note
-		}
-	case ScalingPoint:
-		rec.ContainmentNS = int64(v.Phases.Total)
-		if v.OK {
-			rec.Outcome = obs.OutcomePass
-		} else {
-			rec.Outcome = obs.OutcomeFail
-		}
-	case Fig57Point:
-		rec.ContainmentNS = int64(v.HWOS)
-		if v.OK {
-			rec.Outcome = obs.OutcomePass
-		} else {
-			rec.Outcome = obs.OutcomeFail
-		}
-	default:
-		rec.Outcome = obs.OutcomePass
-	}
-	return rec
-}
-
-// eventsOf extracts the simulated-event count the known result types carry.
-func eventsOf(v any) uint64 {
-	switch r := v.(type) {
-	case *ValidationResult:
-		if r != nil {
-			return r.Events
-		}
-	case *EndToEndResult:
-		if r != nil {
-			return r.Events
-		}
-	case ScalingPoint:
-		return r.Events
-	}
-	return 0
-}
-
 // snapshotOf extracts the metric snapshot the known result types carry.
 func snapshotOf(v any) *MetricsSnapshot {
 	switch r := v.(type) {
@@ -327,7 +203,7 @@ func snapshotOf(v any) *MetricsSnapshot {
 // mid-fill, recovers, and verifies all of memory against the oracle.
 type ValidationCampaign struct {
 	// Config shapes the runs; use DefaultValidationConfig() as the base.
-	// Its Workers and Trace fields are superseded by the CampaignConfig.
+	// Its Trace field is superseded by the CampaignConfig.
 	Config ValidationConfig
 	Fault  FaultType
 }
@@ -343,9 +219,7 @@ func (c ValidationCampaign) Run(env RunEnv, _ int, seed int64) *ValidationResult
 // Warmup implements WarmExperiment: one cache-fill warm-up, keyed on the
 // campaign seed via StreamWarmup, frozen into a forkable snapshot.
 func (c ValidationCampaign) Warmup(cfg CampaignConfig) any {
-	vcfg := c.Config
-	vcfg.Trace = nil
-	return experiments.WarmupValidation(vcfg, runner.DeriveSeed(cfg.Seed, runner.StreamWarmup, 0))
+	return experiments.WarmupValidation(c.Config, experiments.WarmSeed(cfg.Seed))
 }
 
 // RunWarm implements WarmExperiment: fork the warm snapshot and run the
@@ -358,7 +232,6 @@ func (c ValidationCampaign) RunWarm(env RunEnv, ws any, _ int, seed int64) *Vali
 // (Table 5.4's per-type batches).
 type EndToEndCampaign struct {
 	// Config shapes the runs; use DefaultEndToEndConfig() as the base.
-	// Its Workers field is superseded by the CampaignConfig.
 	Config EndToEndConfig
 	Fault  FaultType
 }
@@ -452,19 +325,13 @@ func (c Fig57Campaign) Run(_ RunEnv, i int, seed int64) Fig57Point {
 // Summarize the outcome with SummarizeRecovery.
 type DistributionCampaign struct {
 	// Config shapes the runs; use DefaultScalingConfig(n) as the base.
-	// Its Workers field is superseded by the CampaignConfig.
 	Config ScalingConfig
 }
 
 func (c DistributionCampaign) Stream() int { return runner.StreamDistribution }
 func (c DistributionCampaign) Points() int { return 0 }
 func (c DistributionCampaign) Run(_ RunEnv, _ int, seed int64) ScalingPoint {
-	run := c.Config
-	run.Seed = seed
-	if run.Victim < 0 && run.Nodes > 1 {
-		run.Victim = 1 + int(uint64(seed)%uint64(run.Nodes-1))
-	}
-	return experiments.MeasureRecovery(run)
+	return experiments.DistributionRun(c.Config, seed)
 }
 
 // SummarizeRecovery folds a DistributionCampaign's outcome into per-phase
@@ -473,8 +340,7 @@ func SummarizeRecovery(nodes int, out CampaignResult[ScalingPoint]) RecoveryDist
 	return experiments.SummarizeDistribution(nodes, toRunnerResults(out.Runs), out.Stats)
 }
 
-// toRunnerResults converts campaign runs back to the runner's result form —
-// the bridge the deprecated batch wrappers return through.
+// toRunnerResults converts campaign runs back to the runner's result form.
 func toRunnerResults[T any](runs []CampaignRun[T]) []runner.Result[T] {
 	out := make([]runner.Result[T], len(runs))
 	for i, r := range runs {

@@ -35,9 +35,9 @@
 // tables). The 5.3/5.4/tail tables instead honor -routing NAME to run one
 // strategy everywhere.
 //
-// -run-log streams one JSONL record per run (ordered by run index,
-// byte-identical at any -workers/-partitions), -progress reports live
-// campaign progress on stderr, and -exemplars DIR replays the exact runs
+// -run-log streams one JSONL record per run of any table (ordered by run
+// index, byte-identical at any -workers/-partitions), -progress reports
+// live campaign progress on stderr, and -exemplars DIR replays the exact runs
 // behind the tail table's p50/p99/p999 with span tracing and writes
 // Perfetto-loadable traces plus critical-path summaries into DIR.
 package main
@@ -90,7 +90,7 @@ func main() {
 		if cf.Runs == 0 {
 			cf.Runs = 25
 			if *full {
-				cf.Runs = flashfc.DefaultRoutingConfig().Runs
+				cf.Runs = flashfc.DefaultRoutingRuns
 			}
 		}
 		tableRouting(cf)
@@ -146,16 +146,12 @@ func tableTail(cf *cliflags.Flags) {
 	fmt.Printf("Containment-time tail — degradation fault classes (%d runs per scenario)\n\n", cf.Runs)
 	cfg := flashfc.DefaultTailConfig()
 	cfg.Routing = cf.Routing
-	cfg.Runs = cf.Runs
-	cfg.Workers = cf.Workers
 	cfg.Partitions = cf.Partitions
 	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
-	if !cf.WarmStart {
-		cfg.WarmStart = flashfc.WarmStartOff
-	}
 	sink, finish := cf.Sinks()
-	cfg.Observe = sink
-	res := flashfc.RunTailCampaign(cfg, cf.Seed)
+	ccfg := cf.Config()
+	ccfg.Observe = sink
+	res := flashfc.RunTailCampaign(ccfg, cfg)
 	cliflags.FinishSinks(finish)
 	t := stats.NewTable("Fault scenario", "runs", "failed", "p50", "p99", "p999", "affected")
 	bad := 0
@@ -226,14 +222,13 @@ func tableRouting(cf *cliflags.Flags) {
 	fmt.Printf("Routing strategies head-to-head (%d runs per scenario per strategy)\n\n", cf.Runs)
 	cfg := flashfc.DefaultRoutingConfig()
 	cfg.Routing = "" // strategies come from the campaign's own sweep
-	cfg.Runs = cf.Runs
-	cfg.Workers = cf.Workers
 	cfg.Partitions = cf.Partitions
 	cfg.RegionLinkExtra = flashfc.Time(cf.RegionExtra)
-	if !cf.WarmStart {
-		cfg.WarmStart = flashfc.WarmStartOff
-	}
-	res := flashfc.RunRoutingCampaign(cfg, cf.Seed)
+	sink, finish := cf.Sinks()
+	ccfg := cf.Config()
+	ccfg.Observe = sink
+	res := flashfc.RunRoutingCampaign(ccfg, cfg)
+	cliflags.FinishSinks(finish)
 	bad, cyclic := 0, 0
 	for _, sc := range res.Scenarios {
 		fmt.Printf("scenario: %s\n", sc.Spec.Name)

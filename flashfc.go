@@ -21,10 +21,11 @@
 //     units, with firewalled kernel pages, exactly-once inter-cell RPC and
 //     OS recovery (§3.3, §4.6); NewParallelMake builds the §5.1 workload.
 //   - The experiment drivers regenerate every table and figure of §5:
-//     single runs through RunValidation / RunEndToEnd, batches and sweeps
-//     through RunCampaign with the per-family campaign structs
-//     (ValidationCampaign, EndToEndCampaign, Fig55Campaign, …), and the
-//     specialty campaigns through RunTailCampaign / RunRoutingCampaign.
+//     single runs through RunValidation / RunEndToEnd, and every batch —
+//     RunCampaign with the per-family campaign structs (ValidationCampaign,
+//     EndToEndCampaign, Fig55Campaign, …), RunTailCampaign and
+//     RunRoutingCampaign — through one forked-batch path under one
+//     CampaignConfig envelope (seed, runs, workers, warm-start, observer).
 //
 // A minimal session:
 //
@@ -277,34 +278,20 @@ func NewParallelMake(h *Hive, cfg MakeConfig) *Make { return hive.NewMake(h, cfg
 // DefaultMakeConfig returns the standard workload sizes.
 func DefaultMakeConfig() MakeConfig { return hive.DefaultMakeConfig() }
 
-// Parallel campaign infrastructure. Every batch driver fans its fully
-// independent runs out over a bounded worker pool (the Workers field of
-// the experiment configs, or the workers argument of the figure sweeps;
+// Parallel campaign infrastructure. Every campaign fans its fully
+// independent runs out over a bounded worker pool (CampaignConfig.Workers;
 // 0 = one worker per CPU) with bit-identical results for any worker
 // count: each run owns its whole simulated machine and derives its seed
 // purely from (base seed, stream, run index).
-type (
-	// CampaignStats aggregates a campaign's host-side accounting: wall
-	// and CPU time, simulated-event totals and events/sec throughput.
-	CampaignStats = runner.Stats
-	// ValidationRun is one run of a validation batch: the result plus
-	// per-run wall time, event count, and any captured panic.
-	ValidationRun = runner.Result[*experiments.ValidationResult]
-	// EndToEndRun is one run of an end-to-end batch.
-	EndToEndRun = runner.Result[*experiments.EndToEndResult]
-)
+
+// CampaignStats aggregates a campaign's host-side accounting: wall and CPU
+// time, simulated-event totals and events/sec throughput.
+type CampaignStats = runner.Stats
 
 // DeriveSeed is the campaign seed-derivation mixer: a SplitMix64-style
 // avalanche over (base, stream, i) that gives every run of every
 // experiment family a decorrelated engine seed.
 func DeriveSeed(base int64, stream, i int) int64 { return runner.DeriveSeed(base, stream, i) }
-
-// ParallelMap runs fn(0..n-1) on up to `workers` goroutines (0 = one per
-// CPU) and returns the results in index order — the primitive under every
-// batch driver, exported for custom experiment campaigns.
-func ParallelMap[T any](n, workers int, fn func(i int) T) []T {
-	return runner.Map(n, workers, fn)
-}
 
 // Experiment drivers (§5 and the §4/§6 ablations).
 type (
@@ -348,9 +335,14 @@ type (
 	TailResult = experiments.TailResult
 )
 
-// DefaultTailRuns is the default per-scenario run count of a tail campaign:
-// enough observations that the p999 rests on a real one.
+// DefaultTailRuns is the per-scenario run count of a tail campaign whose
+// CampaignConfig.Runs is 0: enough observations that the p999 rests on a
+// real one.
 const DefaultTailRuns = experiments.DefaultTailRuns
+
+// DefaultRoutingRuns is the per-scenario, per-strategy run count of a
+// routing campaign whose CampaignConfig.Runs is 0.
+const DefaultRoutingRuns = experiments.DefaultRoutingRuns
 
 // Warm-start modes (see WarmStartMode).
 const (
@@ -364,7 +356,8 @@ func DefaultValidationConfig() ValidationConfig { return experiments.DefaultVali
 
 // WarmupValidation builds a warmed validation machine (cache fill run to
 // quiescence) frozen into a forkable snapshot. Derive warmSeed with
-// DeriveSeed(base, StreamWarmup, 0) so all workers rebuild it identically.
+// DeriveSeed(base, StreamWarmup, 0) — the seed every campaign's warm state
+// uses — so all workers rebuild it identically.
 func WarmupValidation(cfg ValidationConfig, warmSeed int64) *WarmState {
 	return experiments.WarmupValidation(cfg, warmSeed)
 }
@@ -384,17 +377,17 @@ func RunValidation(cfg ValidationConfig, ft FaultType, seed int64) *ValidationRe
 }
 
 // DefaultTailConfig returns the default tail-campaign setup: the validation
-// machine with DefaultTailRuns warm-forked runs per degradation scenario.
+// machine over every degradation scenario.
 func DefaultTailConfig() TailConfig { return experiments.DefaultTailConfig() }
 
 // RunTailCampaign measures the containment-time tail of the degradation
 // fault classes (transient-link, fail-slow, CPU-fail/memory-survives):
-// cfg.Runs warm-forked validation runs per class reduced to p50/p99/p999
-// containment time plus the affected fraction of the machine. Results are
-// bit-identical for any worker count, any Partitions value, and warm-start
-// on or off.
-func RunTailCampaign(cfg TailConfig, seed int64) *TailResult {
-	return experiments.TailCampaign(cfg, seed)
+// cc.Runs (0: DefaultTailRuns) warm-forked validation runs per class
+// reduced to p50/p99/p999 containment time plus the affected fraction of
+// the machine. Results are bit-identical for any worker count, any
+// Partitions ≥ 1, and warm-start on or off.
+func RunTailCampaign(cc CampaignConfig, cfg TailConfig) *TailResult {
+	return experiments.TailCampaign(cc, cfg)
 }
 
 // DefaultPartitionConfig returns the 1024-node partitioned scaling scenario.
@@ -473,10 +466,11 @@ func RoutingStrategies() []string { return routing.Names() }
 func DefaultRoutingConfig() RoutingConfig { return experiments.DefaultRoutingConfig() }
 
 // RunRoutingCampaign runs the head-to-head routing comparison: for each
-// scenario, every strategy replays the identical warm-forked faulted runs
-// (the seed stream never involves the strategy), so per-cell differences
-// are pure strategy effects. Bit-identical for any worker count and
-// warm-start mode.
-func RunRoutingCampaign(cfg RoutingConfig, seed int64) *RoutingResult {
-	return experiments.RoutingCampaign(cfg, seed)
+// scenario, every strategy replays the identical cc.Runs (0:
+// DefaultRoutingRuns) warm-forked faulted runs (the seed stream never
+// involves the strategy), so per-cell differences are pure strategy
+// effects. Bit-identical for any worker count, any Partitions ≥ 1, and
+// warm-start mode; with cc.Observe set, every run emits one record.
+func RunRoutingCampaign(cc CampaignConfig, cfg RoutingConfig) *RoutingResult {
+	return experiments.RoutingCampaign(cc, cfg)
 }

@@ -27,32 +27,21 @@ type Distribution struct {
 	Metrics *metrics.Snapshot
 }
 
-// RecoveryDistribution measures per-phase recovery times over `seeds`
-// independent runs of cfg on a cfg.Workers-wide pool. Each run's seed is
-// runner.DeriveSeed(cfg.Seed, StreamDistribution, s), and when cfg.Victim
-// is -1 the victim node is derived from the same seed — so the
-// distribution covers fault placement too, and is bit-identical for any
-// worker count. A run that panics counts as failed.
-func RecoveryDistribution(cfg ScalingConfig, seeds int) Distribution {
-	results, st := runner.Campaign(seeds, cfg.Workers, func(s int, rec *runner.Recorder) ScalingPoint {
-		if cfg.runHook != nil {
-			cfg.runHook(s)
-		}
-		run := cfg
-		run.Seed = runner.DeriveSeed(cfg.Seed, runner.StreamDistribution, s)
-		if run.Victim < 0 && cfg.Nodes > 1 {
-			run.Victim = 1 + int(uint64(run.Seed)%uint64(cfg.Nodes-1))
-		}
-		p := MeasureRecovery(run)
-		rec.Report(p.Events)
-		return p
-	}, nil)
-	return SummarizeDistribution(cfg.Nodes, results, st)
+// DistributionRun is one run of a recovery-time distribution campaign:
+// cfg measured with the run's derived seed, and — when cfg.Victim is -1 —
+// a victim node derived from the same seed, so the distribution covers
+// fault placement too.
+func DistributionRun(cfg ScalingConfig, seed int64) ScalingPoint {
+	cfg.Seed = seed
+	if cfg.Victim < 0 && cfg.Nodes > 1 {
+		cfg.Victim = 1 + int(uint64(seed)%uint64(cfg.Nodes-1))
+	}
+	return MeasureRecovery(cfg)
 }
 
-// SummarizeDistribution folds per-run recovery measurements into the
-// per-phase distribution summary. Exposed so the façade's campaign path
-// can aggregate identically to RecoveryDistribution.
+// SummarizeDistribution folds a distribution campaign's per-run recovery
+// measurements into the per-phase distribution summary; a run that
+// panicked or did not recover counts as failed.
 func SummarizeDistribution(nodes int, results []runner.Result[ScalingPoint], st runner.Stats) Distribution {
 	d := Distribution{Nodes: nodes}
 	d.Stats = st

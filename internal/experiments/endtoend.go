@@ -29,10 +29,6 @@ type EndToEndConfig struct {
 	InjectMin, InjectMax sim.Time
 	Deadline             sim.Time
 	Seed                 int64
-	// Workers bounds the goroutines batch drivers (Table54, Fig57) may
-	// use; 0 means one per CPU. Single runs ignore it, and any worker
-	// count yields bit-identical results.
-	Workers int
 }
 
 // DefaultEndToEndConfig returns the §5.1 setup scaled for simulation: 8
@@ -160,17 +156,6 @@ type Fig57Point struct {
 	HW    sim.Time // hardware recovery
 	HWOS  sim.Time // hardware + OS recovery (user-visible suspension)
 	OK    bool
-}
-
-// Fig57 measures the user-process suspension time after a node failure for
-// growing machine sizes with one Hive cell per node (Fig 5.7's 16 MB/node,
-// 1 MB L2 configuration; sizes are configurable for tractability). The
-// points are measured on up to `workers` goroutines (0 = one per CPU) and
-// returned in nodeCounts order.
-func Fig57(nodeCounts []int, memBytes, l2Bytes uint64, seed int64, workers int) []Fig57Point {
-	return runner.Map(len(nodeCounts), workers, func(i int) Fig57Point {
-		return Fig57One(nodeCounts[i], memBytes, l2Bytes, seed)
-	})
 }
 
 // Fig57One measures one Fig 5.7 point: the suspension time after a node

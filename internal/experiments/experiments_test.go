@@ -47,7 +47,7 @@ func TestValidationPhasesPopulated(t *testing.T) {
 }
 
 func TestTable53SmallBatch(t *testing.T) {
-	rows, stats := table53(fastValidationConfig(), 2, 7)
+	rows, stats := table53(CampaignConfig{Seed: 7, Runs: 2}, fastValidationConfig(), noCrash)
 	if len(rows) != 5 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -65,13 +65,12 @@ func TestTable53SmallBatch(t *testing.T) {
 }
 
 func TestTable53ParallelBitIdenticalToSequential(t *testing.T) {
-	seq := fastValidationConfig()
-	seq.Workers = 1
-	par := fastValidationConfig()
-	par.Workers = 8
+	cfg := fastValidationConfig()
+	seq := CampaignConfig{Seed: 3, Runs: 6, Workers: 1}
+	par := CampaignConfig{Seed: 3, Runs: 6, Workers: 8}
 	for _, ft := range []fault.Type{fault.NodeFailure, fault.RouterFailure} {
-		a, _ := validationBatch(seq, ft, 6, 3)
-		b, _ := validationBatch(par, ft, 6, 3)
+		a, _ := RunBatch(seq, validationBatch(cfg, ft, 6))
+		b, _ := RunBatch(par, validationBatch(cfg, ft, 6))
 		if len(a) != len(b) {
 			t.Fatalf("%v: lengths differ", ft)
 		}
@@ -82,22 +81,15 @@ func TestTable53ParallelBitIdenticalToSequential(t *testing.T) {
 			}
 		}
 	}
-	rowsSeq, _ := table53(seq, 4, 11)
-	rowsPar, _ := table53(par, 4, 11)
+	rowsSeq, _ := table53(CampaignConfig{Seed: 11, Runs: 4, Workers: 1}, cfg, noCrash)
+	rowsPar, _ := table53(CampaignConfig{Seed: 11, Runs: 4, Workers: 8}, cfg, noCrash)
 	if !reflect.DeepEqual(rowsSeq, rowsPar) {
 		t.Fatalf("Table53 rows diverge: %+v vs %+v", rowsSeq, rowsPar)
 	}
 }
 
 func TestTable53PanicIsolation(t *testing.T) {
-	cfg := fastValidationConfig()
-	cfg.Workers = 4
-	cfg.runHook = func(i int) {
-		if i == 2 {
-			panic("injected driver crash")
-		}
-	}
-	rows, stats := table53(cfg, 4, 5)
+	rows, stats := table53(CampaignConfig{Seed: 5, Runs: 4, Workers: 4}, fastValidationConfig(), 2)
 	if len(rows) != 5 {
 		t.Fatalf("campaign aborted: %d rows", len(rows))
 	}
@@ -124,7 +116,7 @@ func TestMeasureRecoveryScalesWithNodes(t *testing.T) {
 }
 
 func TestFig56L2Linear(t *testing.T) {
-	pts := fig56L2([]uint64{512 << 10, 2 << 20, 4 << 20}, 3, 0)
+	pts := fig56L2([]uint64{512 << 10, 2 << 20, 4 << 20}, 3)
 	if len(pts) != 3 {
 		t.Fatal("points missing")
 	}
@@ -138,11 +130,11 @@ func TestFig56L2Linear(t *testing.T) {
 }
 
 func TestFig56XCoordinates(t *testing.T) {
-	l2 := fig56L2([]uint64{512 << 10, 4 << 20}, 3, 0)
+	l2 := fig56L2([]uint64{512 << 10, 4 << 20}, 3)
 	if l2[0].X != 0.5 || l2[1].X != 4 {
 		t.Errorf("Fig56L2 X = %v, %v; want 0.5, 4 (MB)", l2[0].X, l2[1].X)
 	}
-	mem := fig56Mem([]uint64{1 << 20, 16 << 20}, 3, 0)
+	mem := fig56Mem([]uint64{1 << 20, 16 << 20}, 3)
 	if mem[0].X != 1 || mem[1].X != 16 {
 		t.Errorf("Fig56Mem X = %v, %v; want 1, 16 (MB)", mem[0].X, mem[1].X)
 	}
@@ -155,14 +147,14 @@ func TestFig56XCoordinates(t *testing.T) {
 			t.Error("point carries no event accounting")
 		}
 	}
-	n := fig55([]int{8}, machine.TopoMesh, 3, 0)[0]
+	n := fig55([]int{8}, machine.TopoMesh, 3)[0]
 	if n.X != 8 {
 		t.Errorf("Fig55 X = %v, want the node count", n.X)
 	}
 }
 
 func TestFig56MemLinear(t *testing.T) {
-	pts := fig56Mem([]uint64{1 << 20, 16 << 20}, 3, 0)
+	pts := fig56Mem([]uint64{1 << 20, 16 << 20}, 3)
 	r := float64(pts[1].Phases.Scan) / float64(pts[0].Phases.Scan)
 	if r < 8 || r > 24 {
 		t.Errorf("Scan(16MB)/Scan(1MB) = %.1f, want ~16", r)
@@ -174,8 +166,8 @@ func TestFig56MemLinear(t *testing.T) {
 }
 
 func TestHypercubeDisseminationFasterAtScale(t *testing.T) {
-	mesh := fig55([]int{64}, machine.TopoMesh, 5, 0)[0]
-	hyper := fig55([]int{64}, machine.TopoHypercube, 5, 0)[0]
+	mesh := fig55([]int{64}, machine.TopoMesh, 5)[0]
+	hyper := fig55([]int{64}, machine.TopoHypercube, 5)[0]
 	if !mesh.OK || !hyper.OK {
 		t.Fatal("incomplete runs")
 	}
@@ -198,7 +190,7 @@ func TestEndToEndCleanAndFaulty(t *testing.T) {
 }
 
 func TestFig57Monotone(t *testing.T) {
-	pts := Fig57([]int{2, 8}, 1<<20, 64<<10, 9, 0)
+	pts := fig57([]int{2, 8}, 1<<20, 64<<10, 9)
 	for _, p := range pts {
 		if !p.OK {
 			t.Fatalf("run at %d nodes failed", p.Nodes)
@@ -248,8 +240,7 @@ func TestBFTHintsSpeedDissemination(t *testing.T) {
 }
 
 func TestRecoveryDistribution(t *testing.T) {
-	cfg := DefaultScalingConfig(8)
-	d := RecoveryDistribution(cfg, 5)
+	d := recoveryDistribution(CampaignConfig{Seed: 1, Runs: 5}, DefaultScalingConfig(8), noCrash)
 	if d.Failed != 0 {
 		t.Fatalf("failed runs: %d", d.Failed)
 	}
@@ -267,12 +258,9 @@ func TestRecoveryDistribution(t *testing.T) {
 }
 
 func TestRecoveryDistributionParallelBitIdenticalToSequential(t *testing.T) {
-	seq := DefaultScalingConfig(8)
-	seq.Workers = 1
-	par := DefaultScalingConfig(8)
-	par.Workers = 8
-	a := RecoveryDistribution(seq, 6)
-	b := RecoveryDistribution(par, 6)
+	cfg := DefaultScalingConfig(8)
+	a := recoveryDistribution(CampaignConfig{Seed: 1, Runs: 6, Workers: 1}, cfg, noCrash)
+	b := recoveryDistribution(CampaignConfig{Seed: 1, Runs: 6, Workers: 8}, cfg, noCrash)
 	// Stats is host-side wall-clock accounting; everything else must be
 	// bit-identical.
 	a.Stats = runner.Stats{}
@@ -283,14 +271,7 @@ func TestRecoveryDistributionParallelBitIdenticalToSequential(t *testing.T) {
 }
 
 func TestRecoveryDistributionPanicIsolation(t *testing.T) {
-	cfg := DefaultScalingConfig(8)
-	cfg.Workers = 4
-	cfg.runHook = func(i int) {
-		if i == 3 {
-			panic("injected driver crash")
-		}
-	}
-	d := RecoveryDistribution(cfg, 6)
+	d := recoveryDistribution(CampaignConfig{Seed: 1, Runs: 6, Workers: 4}, DefaultScalingConfig(8), 3)
 	if d.Failed != 1 {
 		t.Fatalf("Failed = %d, want the crashed run only", d.Failed)
 	}

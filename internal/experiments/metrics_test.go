@@ -31,9 +31,8 @@ func collectSnaps(results []runner.Result[*ValidationResult]) []*metrics.Snapsho
 // whole metrics layer.
 func TestMergedMetricsJSONBitIdenticalAcrossWorkers(t *testing.T) {
 	jsonFor := func(workers int) []byte {
-		cfg := fastValidationConfig()
-		cfg.Workers = workers
-		results, _ := validationBatch(cfg, fault.NodeFailure, 6, 1)
+		cc := CampaignConfig{Seed: 1, Runs: 6, Workers: workers}
+		results, _ := RunBatch(cc, validationBatch(fastValidationConfig(), fault.NodeFailure, 6))
 		var buf bytes.Buffer
 		if err := runner.MergeMetrics(collectSnaps(results)).WriteJSON(&buf); err != nil {
 			t.Fatalf("WriteJSON: %v", err)
@@ -75,8 +74,7 @@ func TestMetricsCoverEveryLayer(t *testing.T) {
 // Batch drivers must carry their aggregates: every Table 5.3 row merges
 // its runs' snapshots, and every scaling point carries its own.
 func TestBatchDriversCarryMetrics(t *testing.T) {
-	cfg := fastValidationConfig()
-	rows, _ := table53(cfg, 2, 1)
+	rows, _ := table53(CampaignConfig{Seed: 1, Runs: 2}, fastValidationConfig(), noCrash)
 	for _, row := range rows {
 		if row.Metrics == nil {
 			t.Fatalf("%v row has nil Metrics", row.Fault)
@@ -94,7 +92,7 @@ func TestBatchDriversCarryMetrics(t *testing.T) {
 		t.Errorf("ScalingPoint.Metrics missing or machine.recoveries != 1: %+v", p.Metrics)
 	}
 
-	d := RecoveryDistribution(DefaultScalingConfig(2), 3)
+	d := recoveryDistribution(CampaignConfig{Seed: 1, Runs: 3}, DefaultScalingConfig(2), noCrash)
 	if d.Metrics == nil || d.Metrics.Counters["machine.recoveries"] != 3 {
 		t.Errorf("Distribution.Metrics missing or machine.recoveries != 3")
 	}

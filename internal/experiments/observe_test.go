@@ -9,24 +9,27 @@ import (
 
 	"flashfc/internal/fault"
 	"flashfc/internal/obs"
+	"flashfc/internal/runner"
 )
 
 // fastTailConfig shrinks the tail campaign to test scale.
 func fastTailConfig() TailConfig {
 	cfg := DefaultTailConfig()
 	cfg.FillLines = 64
-	cfg.Runs = 8
 	return cfg
 }
 
-// tailRunLog runs a tail campaign with a RunLog attached and returns the
+// fastTailRuns is the unit suite's per-scenario tail run count.
+const fastTailRuns = 8
+
+// observed runs campaign with a RunLog attached to cc and returns the
 // JSONL bytes, finishing the sink the way a driver would.
-func tailRunLog(t *testing.T, cfg TailConfig, seed int64) string {
+func observed(t *testing.T, cc CampaignConfig, campaign func(CampaignConfig)) string {
 	t.Helper()
 	var buf bytes.Buffer
 	log := obs.NewRunLog(&buf, false)
-	cfg.Observe = log
-	TailCampaign(cfg, seed)
+	cc.Observe = log
+	campaign(cc)
 	log.Finish()
 	if err := log.Err(); err != nil {
 		t.Fatalf("run log: %v", err)
@@ -34,30 +37,40 @@ func tailRunLog(t *testing.T, cfg TailConfig, seed int64) string {
 	return buf.String()
 }
 
+// tailRunLog is the run log of a tail campaign.
+func tailRunLog(t *testing.T, cc CampaignConfig, cfg TailConfig) string {
+	t.Helper()
+	return observed(t, cc, func(cc CampaignConfig) { TailCampaign(cc, cfg) })
+}
+
 // TestTailRunLogByteIdentity is the tentpole contract: the JSONL record
 // stream of a tail campaign is byte-identical regardless of how many
-// run-level workers raced to complete runs, and regardless of the
-// intra-machine partition count. The RunLog reorders completion-order
-// events back to run-index order and the records strip host-side fields.
+// run-level workers raced to complete runs, of warm-start, and of the
+// intra-machine partition count (among partitioned machines: Partitions 0
+// is the sequential machine, whose inter-region links are shorter). The
+// RunLog reorders completion-order events back to run-index order and the
+// records strip host-side fields.
 func TestTailRunLogByteIdentity(t *testing.T) {
 	cfg := fastTailConfig()
-	cfg.Workers = 1
-	want := tailRunLog(t, cfg, 23)
+	cc := CampaignConfig{Seed: 23, Runs: fastTailRuns, Workers: 1}
+	want := tailRunLog(t, cc, cfg)
 	if want == "" {
 		t.Fatal("empty run log")
 	}
-	cfg.Workers = 8
-	if got := tailRunLog(t, cfg, 23); got != want {
+	cc.Workers = 8
+	if got := tailRunLog(t, cc, cfg); got != want {
 		t.Errorf("run log differs between 1 and 8 workers:\n1: %q\n8: %q", want, got)
 	}
-	cfg.Partitions = 4
-	if got := tailRunLog(t, cfg, 23); got != want {
-		t.Errorf("run log differs between partitions 0 and 4")
-	}
-	cfg.Partitions = 0
-	cfg.WarmStart = WarmStartOff
-	if got := tailRunLog(t, cfg, 23); got != want {
+	cc.WarmStart = WarmStartOff
+	if got := tailRunLog(t, cc, cfg); got != want {
 		t.Errorf("run log differs between warm-start on and off")
+	}
+	cc.WarmStart = WarmStartAuto
+	cfg.Partitions = 1
+	want = tailRunLog(t, cc, cfg)
+	cfg.Partitions = 4
+	if got := tailRunLog(t, cc, cfg); got != want {
+		t.Errorf("run log differs between partitions 1 and 4")
 	}
 }
 
@@ -67,9 +80,10 @@ func TestTailRunLogByteIdentity(t *testing.T) {
 func TestTailRunLogRecords(t *testing.T) {
 	cfg := fastTailConfig()
 	seed := int64(23)
-	lines := strings.Split(strings.TrimSuffix(tailRunLog(t, cfg, seed), "\n"), "\n")
+	cc := CampaignConfig{Seed: seed, Runs: fastTailRuns}
+	lines := strings.Split(strings.TrimSuffix(tailRunLog(t, cc, cfg), "\n"), "\n")
 	faults := fault.ExtendedTypes()
-	if want := cfg.Runs * len(faults); len(lines) != want {
+	if want := fastTailRuns * len(faults); len(lines) != want {
 		t.Fatalf("got %d records, want %d", len(lines), want)
 	}
 	for n, line := range lines {
@@ -77,7 +91,7 @@ func TestTailRunLogRecords(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("record %d: %v\n%s", n, err, line)
 		}
-		batch, i := n/cfg.Runs, n%cfg.Runs
+		batch, i := n/fastTailRuns, n%fastTailRuns
 		if rec.Run != i {
 			t.Fatalf("record %d: run index %d, want %d", n, rec.Run, i)
 		}
@@ -111,20 +125,21 @@ func TestTailRunLogRecords(t *testing.T) {
 	}
 }
 
-// TestTailRunLogPanicRecord injects a panic into one run of every batch and
-// requires it to surface as a well-formed "panic" record at the right index
-// — observability must not lose crashed runs, and the stream stays complete
-// and ordered around them.
+// TestTailRunLogPanicRecord injects a panic into one run of every tail
+// batch and requires it to surface as a well-formed "panic" record at the
+// right index — observability must not lose crashed runs, and the stream
+// stays complete and ordered around them.
 func TestTailRunLogPanicRecord(t *testing.T) {
 	cfg := fastTailConfig()
-	cfg.Workers = 4
-	cfg.runHook = func(i int) {
-		if i == 3 {
-			panic("injected driver crash")
+	cc := CampaignConfig{Seed: 23, Runs: fastTailRuns, Workers: 4}
+	log := observed(t, cc, func(cc CampaignConfig) {
+		for _, ft := range fault.ExtendedTypes() {
+			tail := forkedValidation(cfg.ValidationConfig, "tail", runner.StreamTail, ft, cc.Runs)
+			RunBatch(cc, crashAt(tail, 3))
 		}
-	}
-	lines := strings.Split(strings.TrimSuffix(tailRunLog(t, cfg, 23), "\n"), "\n")
-	if want := cfg.Runs * len(fault.ExtendedTypes()); len(lines) != want {
+	})
+	lines := strings.Split(strings.TrimSuffix(log, "\n"), "\n")
+	if want := fastTailRuns * len(fault.ExtendedTypes()); len(lines) != want {
 		t.Fatalf("got %d records, want %d (panics must not drop records)", len(lines), want)
 	}
 	panics := 0
@@ -133,8 +148,8 @@ func TestTailRunLogPanicRecord(t *testing.T) {
 		if err := json.Unmarshal([]byte(line), &rec); err != nil {
 			t.Fatalf("record %d: %v", n, err)
 		}
-		if rec.Run != n%cfg.Runs {
-			t.Fatalf("record %d: run index %d, want %d", n, rec.Run, n%cfg.Runs)
+		if rec.Run != n%fastTailRuns {
+			t.Fatalf("record %d: run index %d, want %d", n, rec.Run, n%fastTailRuns)
 		}
 		if rec.Run == 3 {
 			panics++
@@ -163,9 +178,9 @@ func TestTailRunLogPanicRecord(t *testing.T) {
 // campaign's recorded p999 observation bit-for-bit.
 func TestTailExemplarReplayExact(t *testing.T) {
 	cfg := fastTailConfig()
-	cfg.Runs = 10
 	seed := int64(31)
-	res := TailCampaign(cfg, seed)
+	cc := CampaignConfig{Seed: seed, Runs: 10}
+	res := TailCampaign(cc, cfg)
 	replays := ReplayTailExemplars(cfg, seed, res)
 	if want := len(res.Scenarios) * len(TailPercentiles); len(replays) != want {
 		t.Fatalf("%d replays, want %d", len(replays), want)
@@ -189,12 +204,12 @@ func TestTailExemplarReplayExact(t *testing.T) {
 		if ex.Pct != 99.9 {
 			t.Fatalf("%v: last exemplar is p%g, want p99.9", sc.Fault, ex.Pct)
 		}
-		if ex.Run < 0 || ex.Run >= cfg.Runs {
+		if ex.Run < 0 || ex.Run >= cc.Runs {
 			t.Errorf("%v: exemplar run %d out of range", sc.Fault, ex.Run)
 		}
 	}
 	// And the exemplar set itself is deterministic.
-	res2 := TailCampaign(cfg, seed)
+	res2 := TailCampaign(cc, cfg)
 	for i, sc := range res.Scenarios {
 		if len(sc.Exemplars) != len(res2.Scenarios[i].Exemplars) {
 			t.Fatalf("%v: exemplar count changed between identical campaigns", sc.Fault)
@@ -213,9 +228,8 @@ func TestTailExemplarReplayExact(t *testing.T) {
 // byte-identical — the trace JSON and the summary carry no host state.
 func TestWriteExemplarDeterministicBytes(t *testing.T) {
 	cfg := fastTailConfig()
-	cfg.Runs = 4
 	render := func(dir string) {
-		res := TailCampaign(cfg, 23)
+		res := TailCampaign(CampaignConfig{Seed: 23, Runs: 4}, cfg)
 		for _, e := range ReplayTailExemplars(cfg, 23, res) {
 			et := obs.ExemplarTrace{
 				Name:       obs.ExemplarName(e.Fault.String(), e.Pct),
@@ -268,22 +282,16 @@ func TestWriteExemplarDeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestValidationBatchObserved wires a sink into the Table 5.3 path
-// (WarmValidationBatch via ValidationConfig.Observe) and checks batch
-// metadata and record/fault agreement.
+// TestValidationBatchObserved wires a sink into the Table 5.3 batches
+// (RunBatch via CampaignConfig.Observe) and checks batch metadata and
+// record/fault agreement.
 func TestValidationBatchObserved(t *testing.T) {
 	cfg := fastValidationConfig()
-	var buf bytes.Buffer
-	log := obs.NewRunLog(&buf, false)
-	cfg.Observe = log
-	seed := int64(7)
-	WarmValidationBatch(cfg, fault.NodeFailure, 4, seed)
-	WarmValidationBatch(cfg, fault.LinkFailure, 4, seed)
-	log.Finish()
-	if err := log.Err(); err != nil {
-		t.Fatalf("run log: %v", err)
-	}
-	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	log := observed(t, CampaignConfig{Seed: 7, Runs: 4}, func(cc CampaignConfig) {
+		RunBatch(cc, validationBatch(cfg, fault.NodeFailure, cc.Runs))
+		RunBatch(cc, validationBatch(cfg, fault.LinkFailure, cc.Runs))
+	})
+	lines := strings.Split(strings.TrimSuffix(log, "\n"), "\n")
 	if len(lines) != 8 {
 		t.Fatalf("got %d records, want 8", len(lines))
 	}

@@ -6,6 +6,7 @@ import (
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
+	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
 	"flashfc/internal/workload"
@@ -184,5 +185,42 @@ func TestPartitionSequentialBaseline(t *testing.T) {
 	}
 	if par.Merged == 0 {
 		t.Error("partitioned run merged no cross-region events — remote traffic missing")
+	}
+}
+
+// TestPartitionedWarmCampaign pins warm-forked batches on the partitioned
+// engine: the warm-up and every fork really run partitioned (barriers
+// fire), and the merged metrics are byte-identical at 1, 2 and 4
+// partition workers and with warm-start on or off.
+func TestPartitionedWarmCampaign(t *testing.T) {
+	metricsJSON := func(partitions int, warm WarmStartMode) string {
+		cfg := fastValidationConfig()
+		cfg.Partitions = partitions
+		cc := CampaignConfig{Seed: 7, Runs: 2, Workers: 1, WarmStart: warm}
+		results, _ := RunBatch(cc, validationBatch(cfg, fault.NodeFailure, cc.Runs))
+		for i, r := range results {
+			if r.Err != nil || !r.Value.OK() {
+				t.Fatalf("partitions=%d warm=%v run %d failed: err=%v", partitions, warm, i, r.Err)
+			}
+		}
+		merged := runner.MergeMetrics(collectSnaps(results))
+		if merged.Counters["sim.barriers"] == 0 {
+			t.Errorf("partitions=%d warm=%v: no sim.barriers — the batch ran sequentially", partitions, warm)
+		}
+		var buf bytes.Buffer
+		if err := merged.WriteJSON(&buf); err != nil {
+			t.Fatalf("metrics json: %v", err)
+		}
+		return buf.String()
+	}
+	want := metricsJSON(2, WarmStartOn)
+	for _, c := range []struct {
+		partitions int
+		warm       WarmStartMode
+	}{{1, WarmStartOn}, {4, WarmStartOn}, {2, WarmStartOff}} {
+		if got := metricsJSON(c.partitions, c.warm); got != want {
+			t.Errorf("partitions=%d warm=%v: merged metrics differ from partitions=2 warm-start on",
+				c.partitions, c.warm)
+		}
 	}
 }

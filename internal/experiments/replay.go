@@ -48,26 +48,13 @@ func (e ExemplarReplay) Match() bool { return e.TracedTime == e.CampaignTime }
 // performed, plus a tracer.
 func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []ExemplarReplay {
 	var out []ExemplarReplay
-	bcfg := cfg.ValidationConfig
-	bcfg.Trace = nil
-	var ws *WarmState
+	rp := replayer{cfg: cfg.ValidationConfig, seed: seed}
 	for _, sc := range res.Scenarios {
 		for _, ex := range sc.Exemplars {
-			if ws == nil {
-				ws = WarmupValidation(bcfg, runner.DeriveSeed(seed, runner.StreamWarmup, 0))
-			}
-			tr := trace.New(0)
-			r := ValidationFromWarm(ws, sc.Fault, ex.Seed, tr)
-			out = append(out, ExemplarReplay{
-				Fault:        sc.Fault,
-				Pct:          ex.Pct,
-				Run:          ex.Run,
-				Seed:         ex.Seed,
-				CampaignTime: ex.Time,
-				TracedTime:   r.Phases.Total,
-				Result:       r,
-				Trace:        tr,
-			})
+			e := rp.replay(sc.Fault, ex.Run, ex.Seed)
+			e.Pct = ex.Pct
+			e.CampaignTime = ex.Time
+			out = append(out, e)
 		}
 	}
 	return out
@@ -76,17 +63,8 @@ func ReplayTailExemplars(cfg TailConfig, seed int64, res *TailResult) []Exemplar
 // ReplayTailRun replays one arbitrary run of a tail campaign (not
 // necessarily an exemplar) with tracing: the flashsim -run-seed path.
 func ReplayTailRun(cfg TailConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
-	bcfg := cfg.ValidationConfig
-	bcfg.Trace = nil
-	ws := WarmupValidation(bcfg, runner.DeriveSeed(seed, runner.StreamWarmup, 0))
-	tr := trace.New(0)
-	runSeed := tailRunSeed(seed, ft, i)
-	r := ValidationFromWarm(ws, ft, runSeed, tr)
-	return ExemplarReplay{
-		Fault: ft, Run: i, Seed: runSeed,
-		CampaignTime: r.Phases.Total, TracedTime: r.Phases.Total,
-		Result: r, Trace: tr,
-	}
+	rp := replayer{cfg: cfg.ValidationConfig, seed: seed}
+	return rp.replay(ft, i, tailRunSeed(seed, ft, i))
 }
 
 // ReplayValidationRun replays run i of a validation campaign (Table 5.3 /
@@ -94,14 +72,31 @@ func ReplayTailRun(cfg TailConfig, ft fault.Type, seed int64, i int) ExemplarRep
 // flashsim -run-seed path: the same warm fork the campaign executed, so
 // the traced run is campaign run i, not a lookalike.
 func ReplayValidationRun(cfg ValidationConfig, ft fault.Type, seed int64, i int) ExemplarReplay {
-	bcfg := cfg
-	bcfg.Trace = nil
-	ws := WarmupValidation(bcfg, runner.DeriveSeed(seed, runner.StreamWarmup, 0))
+	rp := replayer{cfg: cfg, seed: seed}
+	return rp.replay(ft, i, runSeed(seed, runner.StreamValidation+int(ft), i))
+}
+
+// replayer re-runs warm-forked campaign runs with span tracing. It rebuilds
+// the campaign's warm snapshot once, from the same WarmSeed that RunBatch
+// seeds the campaign's warm-up with, so a replay cannot diverge from its
+// batch.
+type replayer struct {
+	cfg  ValidationConfig
+	seed int64
+	ws   *WarmState
+}
+
+// replay forks run `run` (engine seed runSeed) from the warm snapshot with
+// a fresh tracer. CampaignTime defaults to the traced time; callers that
+// recorded an observation overwrite it.
+func (rp *replayer) replay(ft fault.Type, run int, runSeed int64) ExemplarReplay {
+	if rp.ws == nil {
+		rp.ws = WarmupValidation(rp.cfg, WarmSeed(rp.seed))
+	}
 	tr := trace.New(0)
-	runSeed := runner.DeriveSeed(seed, runner.StreamValidation+int(ft), i)
-	r := ValidationFromWarm(ws, ft, runSeed, tr)
+	r := ValidationFromWarm(rp.ws, ft, runSeed, tr)
 	return ExemplarReplay{
-		Fault: ft, Run: i, Seed: runSeed,
+		Fault: ft, Run: run, Seed: runSeed,
 		CampaignTime: r.Phases.Total, TracedTime: r.Phases.Total,
 		Result: r, Trace: tr,
 	}

@@ -7,6 +7,7 @@ import (
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
+	"flashfc/internal/obs"
 	"flashfc/internal/routing"
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
@@ -44,15 +45,13 @@ func DefaultRoutingScenarios() []RoutingScenarioSpec {
 	}
 }
 
-// DefaultRoutingRuns is the default per-scenario, per-strategy run count.
+// DefaultRoutingRuns is the default per-scenario, per-strategy run count,
+// used when the campaign envelope's Runs is 0.
 const DefaultRoutingRuns = 100
 
 // RoutingConfig shapes a head-to-head routing campaign.
 type RoutingConfig struct {
 	ValidationConfig
-	// Runs is the number of warm-forked runs per scenario per strategy;
-	// 0 defaults to DefaultRoutingRuns.
-	Runs int
 	// Strategies names the competitors; nil runs every registered one.
 	Strategies []string
 	// Scenarios selects the fault shapes; nil runs DefaultRoutingScenarios.
@@ -62,7 +61,7 @@ type RoutingConfig struct {
 // DefaultRoutingConfig returns the default head-to-head setup: the
 // validation machine, all registered strategies, the default scenarios.
 func DefaultRoutingConfig() RoutingConfig {
-	return RoutingConfig{ValidationConfig: DefaultValidationConfig(), Runs: DefaultRoutingRuns}
+	return RoutingConfig{ValidationConfig: DefaultValidationConfig()}
 }
 
 // RoutingRun is one strategy's replay of one campaign run.
@@ -121,15 +120,15 @@ type RoutingResult struct {
 }
 
 // RoutingCampaign runs the head-to-head comparison: for every scenario and
-// every strategy, cfg.Runs warm-forked runs seeded from
-// runner.StreamRouting+scenario — the seed never involves the strategy, so
-// each strategy replays the identical fault sequence and the cells of one
-// scenario are directly comparable. Results are bit-identical for any
-// worker count and warm-start mode.
-func RoutingCampaign(cfg RoutingConfig, seed int64) *RoutingResult {
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = DefaultRoutingRuns
+// every strategy, one RunBatch of cc.Runs (default DefaultRoutingRuns)
+// warm-forked runs seeded from runner.StreamRouting+scenario — the seed
+// never involves the strategy, so each strategy replays the identical
+// fault sequence and the cells of one scenario are directly comparable.
+// Results are bit-identical for any worker count, any Partitions ≥ 1, and
+// warm-start mode.
+func RoutingCampaign(cc CampaignConfig, cfg RoutingConfig) *RoutingResult {
+	if cc.Runs <= 0 {
+		cc.Runs = DefaultRoutingRuns
 	}
 	strategies := cfg.Strategies
 	if strategies == nil {
@@ -143,7 +142,7 @@ func RoutingCampaign(cfg RoutingConfig, seed int64) *RoutingResult {
 	for si, spec := range scenarios {
 		sc := RoutingScenario{Spec: spec}
 		for _, strat := range strategies {
-			results, st := routingBatch(cfg.ValidationConfig, strat, spec, runs, seed, si)
+			results, st := RunBatch(cc, routingCellBatch(cfg.ValidationConfig, strat, spec, si, cc.Runs))
 			sc.Cells = append(sc.Cells, reduceRoutingCell(strat, results))
 			out.Stats.Merge(st)
 		}
@@ -185,12 +184,6 @@ func reduceRoutingCell(strat string, results []runner.Result[*RoutingRun]) Routi
 	return cell
 }
 
-// routingRunSeed derives the engine seed of run i of one scenario. The
-// strategy is deliberately absent: every strategy replays the same runs.
-func routingRunSeed(seed int64, scenario, i int) int64 {
-	return runner.DeriveSeed(seed, runner.StreamRouting+scenario, i)
-}
-
 // routingFaults draws one run's fault set: spec.Links distinct random links
 // and/or one random router, identical for every strategy at the same run
 // seed.
@@ -219,27 +212,18 @@ func routingFaults(rng *rand.Rand, spec RoutingScenarioSpec, topo *topology.Topo
 	return out
 }
 
-// routingBatch runs one (scenario, strategy) batch of warm-forked runs.
-func routingBatch(cfg ValidationConfig, strat string, spec RoutingScenarioSpec, runs int, seed int64, scenario int) ([]runner.Result[*RoutingRun], runner.Stats) {
-	bcfg := cfg
-	bcfg.Trace = nil
-	warmSeed := runner.DeriveSeed(seed, runner.StreamWarmup, 0)
-	runSeed := func(i int) int64 { return routingRunSeed(seed, scenario, i) }
-	if bcfg.WarmStart.Enabled() {
-		return runner.CampaignWithSetup(runs, cfg.Workers,
-			func() any { return WarmupValidation(bcfg, warmSeed) },
-			func(i int, ws any, rec *runner.Recorder) *RoutingRun {
-				r := RoutingFromWarm(ws.(*WarmState), strat, spec, runSeed(i))
-				rec.Report(r.Events)
-				return r
-			}, nil)
+// routingCellBatch is one (scenario, strategy) batch of warm-forked runs on
+// seed stream runner.StreamRouting+scenario. The strategy is deliberately
+// absent from the stream: every strategy replays the same runs.
+func routingCellBatch(cfg ValidationConfig, strat string, spec RoutingScenarioSpec, scenario, runs int) Batch[*RoutingRun] {
+	return Batch[*RoutingRun]{
+		Batch:  obs.Batch{Label: "routing " + spec.Name + "/" + strat, Runs: runs},
+		Stream: runner.StreamRouting + scenario,
+		Warmup: func(seed int64) any { return WarmupValidation(cfg, seed) },
+		Run: func(_ int, ws any, seed int64) *RoutingRun {
+			return RoutingFromWarm(ws.(*WarmState), strat, spec, seed)
+		},
 	}
-	return runner.Campaign(runs, cfg.Workers, func(i int, rec *runner.Recorder) *RoutingRun {
-		ws := WarmupValidation(bcfg, warmSeed)
-		r := RoutingFromWarm(ws, strat, spec, runSeed(i))
-		rec.Report(r.Events)
-		return r
-	}, nil)
 }
 
 // RoutingFromWarm performs one head-to-head run: fork ws under the named
@@ -255,7 +239,7 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 	rng := rand.New(rand.NewSource(runSeed))
 	faults := routingFaults(rng, spec, m.Topo)
 	res := &RoutingRun{Strategy: strat, Faults: faults}
-	defer func() { res.Events = m.E.EventsFired() }()
+	defer func() { res.Events = eventsFired(m) }()
 
 	burst := workload.NewFillerSeeded(m, runSeed)
 	burst.FillLines = ws.burstLines()
@@ -269,9 +253,9 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 	burst.OnHalfDone = inject
 	burstDone := false
 	burst.Start(func() { burstDone = true })
-	deadline := m.E.Now() + cfg.Deadline
-	for !burstDone && m.E.Now() < deadline {
-		m.E.RunUntil(m.E.Now() + sim.Millisecond)
+	deadline := m.Now() + cfg.Deadline
+	for !burstDone && m.Now() < deadline {
+		m.Advance(m.Now() + sim.Millisecond)
 	}
 	if !injected {
 		inject()

@@ -1,9 +1,12 @@
 package experiments
 
 import (
+	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
+	"flashfc/internal/obs"
 	"flashfc/internal/routing"
 	"flashfc/internal/runner"
 )
@@ -12,13 +15,12 @@ import (
 func fastRoutingConfig() RoutingConfig {
 	cfg := DefaultRoutingConfig()
 	cfg.FillLines = 64
-	cfg.Runs = 4
 	return cfg
 }
 
 func TestRoutingCampaignHeadToHead(t *testing.T) {
 	cfg := fastRoutingConfig()
-	res := RoutingCampaign(cfg, 7)
+	res := RoutingCampaign(CampaignConfig{Seed: 7, Runs: 4}, cfg)
 	if len(res.Scenarios) != len(DefaultRoutingScenarios()) {
 		t.Fatalf("got %d scenarios", len(res.Scenarios))
 	}
@@ -47,9 +49,9 @@ func TestRoutingCampaignHeadToHead(t *testing.T) {
 // run seed, every strategy faces the identical fault set.
 func TestRoutingRunsArePaired(t *testing.T) {
 	cfg := fastRoutingConfig()
-	ws := WarmupValidation(cfg.ValidationConfig, runner.DeriveSeed(3, runner.StreamWarmup, 0))
+	ws := WarmupValidation(cfg.ValidationConfig, WarmSeed(3))
 	spec := RoutingScenarioSpec{Name: "multi-link", Links: 2}
-	seed := routingRunSeed(3, 0, 1)
+	seed := runSeed(3, runner.StreamRouting, 1)
 	var faults [][]string
 	for _, name := range routing.Names() {
 		r := RoutingFromWarm(ws, name, spec, seed)
@@ -70,19 +72,19 @@ func TestRoutingRunsArePaired(t *testing.T) {
 // TestRoutingCampaignDeterministic pins the bit-identical contract across
 // worker counts and warm-start modes.
 func TestRoutingCampaignDeterministic(t *testing.T) {
-	base := fastRoutingConfig()
-	base.Runs = 2
-	base.Scenarios = []RoutingScenarioSpec{{Name: "single-link", Links: 1}}
+	cfg := fastRoutingConfig()
+	cfg.Scenarios = []RoutingScenarioSpec{{Name: "single-link", Links: 1}}
+	base := CampaignConfig{Seed: 5, Runs: 2}
 
-	ref := RoutingCampaign(base, 5)
+	ref := RoutingCampaign(base, cfg)
 
 	workers := base
 	workers.Workers = 3
 	cold := base
 	cold.WarmStart = WarmStartOff
 
-	for label, cfg := range map[string]RoutingConfig{"workers=3": workers, "warmstart=off": cold} {
-		got := RoutingCampaign(cfg, 5)
+	for label, cc := range map[string]CampaignConfig{"workers=3": workers, "warmstart=off": cold} {
+		got := RoutingCampaign(cc, cfg)
 		if !reflect.DeepEqual(ref.Scenarios, got.Scenarios) {
 			t.Fatalf("%s changed the campaign result:\nref %+v\ngot %+v", label, ref.Scenarios, got.Scenarios)
 		}
@@ -94,9 +96,9 @@ func TestRoutingCampaignDeterministic(t *testing.T) {
 // fewer reprogrammed entries, which surfaces as a shorter P3.
 func TestRoutingStrategyDiffers(t *testing.T) {
 	cfg := fastRoutingConfig()
-	ws := WarmupValidation(cfg.ValidationConfig, runner.DeriveSeed(9, runner.StreamWarmup, 0))
+	ws := WarmupValidation(cfg.ValidationConfig, WarmSeed(9))
 	spec := RoutingScenarioSpec{Name: "single-link", Links: 1}
-	seed := routingRunSeed(9, 0, 0)
+	seed := runSeed(9, runner.StreamRouting, 0)
 	paper := RoutingFromWarm(ws, "paper", spec, seed)
 	incr := RoutingFromWarm(ws, "incremental", spec, seed)
 	if !paper.Recovered || !incr.Recovered {
@@ -104,5 +106,34 @@ func TestRoutingStrategyDiffers(t *testing.T) {
 	}
 	if incr.P3 >= paper.P3 {
 		t.Errorf("incremental P3 %v not below paper's %v", incr.P3, paper.P3)
+	}
+}
+
+// TestRoutingRunLog pins routing observability: one record per run of
+// every (scenario, strategy) batch, a failing record for any run that did
+// not recover, verify or keep its tables acyclic, and a stream that is
+// byte-identical at 1 vs 8 workers.
+func TestRoutingRunLog(t *testing.T) {
+	cfg := fastRoutingConfig()
+	cc := CampaignConfig{Seed: 7, Runs: 2, Workers: 1}
+	campaign := func(cc CampaignConfig) { RoutingCampaign(cc, cfg) }
+	want := observed(t, cc, campaign)
+	lines := strings.Split(strings.TrimSuffix(want, "\n"), "\n")
+	if n := cc.Runs * len(DefaultRoutingScenarios()) * len(routing.Names()); len(lines) != n {
+		t.Fatalf("got %d records, want %d", len(lines), n)
+	}
+	for n, line := range lines {
+		var rec obs.RunRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("record %d: %v", n, err)
+		}
+		if rec.Run != n%cc.Runs || rec.Outcome != obs.OutcomePass || rec.ContainmentNS <= 0 ||
+			rec.Events == 0 || rec.Fault == "" {
+			t.Errorf("record %d: %+v", n, rec)
+		}
+	}
+	cc.Workers = 8
+	if got := observed(t, cc, campaign); got != want {
+		t.Errorf("routing run log differs between 1 and 8 workers")
 	}
 }

@@ -29,15 +29,6 @@ type ScalingConfig struct {
 	// Knobs for the ablation studies.
 	SpeculativePing *bool
 	BFTHints        *bool
-	// Workers bounds the goroutines batch drivers (Fig55, Fig56*,
-	// RecoveryDistribution) may use; 0 means one per CPU. Single
-	// measurements ignore it, and any worker count yields bit-identical
-	// results.
-	Workers int
-	// runHook, when non-nil, runs at the start of every
-	// RecoveryDistribution run with the run index; test-only, see
-	// ValidationConfig.runHook.
-	runHook func(i int)
 }
 
 // DefaultScalingConfig is the Fig 5.5 configuration: mesh, 1 MB memory per

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"flashfc/internal/fault"
-	"flashfc/internal/obs"
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/stats"
@@ -22,22 +21,20 @@ import (
 // TailConfig shapes a tail campaign.
 type TailConfig struct {
 	ValidationConfig
-	// Runs is the number of warm-forked runs per scenario; 0 defaults to
-	// DefaultTailRuns (enough observations that the p999 is supported by a
-	// real observation, see stats.TailReliable).
-	Runs int
 	// Faults selects the scenarios; nil runs fault.ExtendedTypes().
 	Faults []fault.Type
 }
 
-// DefaultTailRuns is the default per-scenario run count: with 1000 runs the
-// p999 rests on the single largest observation rather than interpolation.
+// DefaultTailRuns is the default per-scenario run count, used when the
+// campaign envelope's Runs is 0: with 1000 runs the p999 rests on the
+// single largest observation rather than interpolation (see
+// stats.TailReliable).
 const DefaultTailRuns = 1000
 
 // DefaultTailConfig returns the default tail-campaign setup: the validation
-// machine with DefaultTailRuns per scenario.
+// machine over every degradation scenario.
 func DefaultTailConfig() TailConfig {
-	return TailConfig{ValidationConfig: DefaultValidationConfig(), Runs: DefaultTailRuns}
+	return TailConfig{ValidationConfig: DefaultValidationConfig()}
 }
 
 // TailScenario aggregates one fault class's tail campaign.
@@ -80,16 +77,16 @@ type TailResult struct {
 }
 
 // TailCampaign runs the tail analysis: for every requested fault class,
-// cfg.Runs warm-forked validation runs (seeded from runner.StreamTail, so
-// tail campaigns never correlate with Table 5.3 batches at the same base
-// seed) are reduced to containment-time percentiles and the affected
-// fraction. Results are bit-identical for any worker count, any Partitions
-// value, and warm-start on or off, because every run is the shared
+// cc.Runs (default DefaultTailRuns) warm-forked validation runs — one
+// RunBatch per class, seeded from runner.StreamTail so tail campaigns
+// never correlate with Table 5.3 batches at the same base seed — are
+// reduced to containment-time percentiles and the affected fraction.
+// Results are bit-identical for any worker count, any Partitions ≥ 1, and
+// warm-start on or off, because every run is the shared
 // ValidationFromWarm computation.
-func TailCampaign(cfg TailConfig, seed int64) *TailResult {
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = DefaultTailRuns
+func TailCampaign(cc CampaignConfig, cfg TailConfig) *TailResult {
+	if cc.Runs <= 0 {
+		cc.Runs = DefaultTailRuns
 	}
 	faults := cfg.Faults
 	if faults == nil {
@@ -97,8 +94,8 @@ func TailCampaign(cfg TailConfig, seed int64) *TailResult {
 	}
 	out := &TailResult{}
 	for _, ft := range faults {
-		sc := TailScenario{Fault: ft, Runs: runs}
-		results, st := tailBatch(cfg.ValidationConfig, ft, runs, seed)
+		sc := TailScenario{Fault: ft, Runs: cc.Runs}
+		results, st := RunBatch(cc, forkedValidation(cfg.ValidationConfig, "tail", runner.StreamTail, ft, cc.Runs))
 		var times []float64
 		var affected []float64
 		var passing []tailObs
@@ -119,7 +116,7 @@ func TailCampaign(cfg TailConfig, seed int64) *TailResult {
 			sc.P999 = sim.Time(stats.Percentile(times, 99.9))
 			sc.TailOK = stats.TailReliable(len(times), 99.9)
 			sc.Exemplars = tailExemplars(passing, func(i int) int64 {
-				return tailRunSeed(seed, ft, i)
+				return tailRunSeed(cc.Seed, ft, i)
 			})
 		}
 		sc.Affected = stats.Summarize(affected)
@@ -166,35 +163,5 @@ func tailExemplars(passing []tailObs, seedOf func(i int) int64) []TailExemplar {
 
 // tailRunSeed derives the engine seed of tail run i of one fault class.
 func tailRunSeed(seed int64, ft fault.Type, i int) int64 {
-	return runner.DeriveSeed(seed, runner.StreamTail+int(ft), i)
-}
-
-// tailBatch is WarmValidationBatch with the tail campaign's seed stream.
-func tailBatch(cfg ValidationConfig, ft fault.Type, runs int, seed int64) ([]runner.Result[*ValidationResult], runner.Stats) {
-	bcfg := cfg
-	bcfg.Trace = nil
-	warmSeed := runner.DeriveSeed(seed, runner.StreamWarmup, 0)
-	runSeed := func(i int) int64 { return tailRunSeed(seed, ft, i) }
-	observe := observeBatch(cfg.Observe,
-		obs.Batch{Label: "tail", Fault: ft.String(), Runs: runs}, runSeed)
-	if bcfg.WarmStart.Enabled() {
-		return runner.CampaignWithSetup(runs, cfg.Workers,
-			func() any { return WarmupValidation(bcfg, warmSeed) },
-			func(i int, ws any, rec *runner.Recorder) *ValidationResult {
-				if cfg.runHook != nil {
-					cfg.runHook(i)
-				}
-				r := ValidationFromWarm(ws.(*WarmState), ft, runSeed(i), nil)
-				rec.Report(r.Events)
-				return r
-			}, observe)
-	}
-	return runner.Campaign(runs, cfg.Workers, func(i int, rec *runner.Recorder) *ValidationResult {
-		if cfg.runHook != nil {
-			cfg.runHook(i)
-		}
-		r := ValidationWarm(bcfg, ft, warmSeed, runSeed(i))
-		rec.Report(r.Events)
-		return r
-	}, observe)
+	return runSeed(seed, runner.StreamTail+int(ft), i)
 }

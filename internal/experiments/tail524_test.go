@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"flashfc/internal/fault"
-	"flashfc/internal/runner"
 )
 
 // TestTransientLinkTail524Contained pins tail run 524 of the TransientLink
@@ -17,8 +16,7 @@ import (
 // before trusting a resident copy; this run must verify clean forever.
 func TestTransientLinkTail524Contained(t *testing.T) {
 	cfg := DefaultTailConfig()
-	warmSeed := runner.DeriveSeed(1, runner.StreamWarmup, 0)
-	ws := WarmupValidation(cfg.ValidationConfig, warmSeed)
+	ws := WarmupValidation(cfg.ValidationConfig, WarmSeed(1))
 	runSeed := tailRunSeed(1, fault.TransientLink, 524)
 	r := ValidationFromWarm(ws, fault.TransientLink, runSeed, nil)
 	if !r.OK() {

@@ -105,10 +105,10 @@ func TestTransientLinkHealOnLookaheadBarrier(t *testing.T) {
 func TestTailCampaignCrossForkDeterminism(t *testing.T) {
 	cfg := DefaultTailConfig()
 	cfg.FillLines = 64
-	cfg.Runs = 6
-	on := TailCampaign(cfg, 17)
-	cfg.WarmStart = WarmStartOff
-	off := TailCampaign(cfg, 17)
+	cc := CampaignConfig{Seed: 17, Runs: 6}
+	on := TailCampaign(cc, cfg)
+	cc.WarmStart = WarmStartOff
+	off := TailCampaign(cc, cfg)
 	if !reflect.DeepEqual(on.Scenarios, off.Scenarios) {
 		t.Fatalf("tail scenarios differ between warm-start on and off:\non:  %+v\noff: %+v",
 			on.Scenarios, off.Scenarios)

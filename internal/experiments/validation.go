@@ -13,7 +13,6 @@ import (
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/metrics"
-	"flashfc/internal/obs"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
 	"flashfc/internal/workload"
@@ -66,15 +65,12 @@ type ValidationConfig struct {
 	FillLines int // lines each node touches before the fault
 	Deadline  sim.Time
 	Stride    int // verification stride (1 = full sweep)
-	// Workers bounds the goroutines a batch driver (Table53,
-	// ValidationBatch) may use; 0 means one per CPU. Single runs ignore
-	// it. Any worker count yields bit-identical results.
-	Workers int
-	// Partitions, when > 0, runs the machine on the partitioned engine
-	// with that many intra-machine workers. Fault injection forces the
-	// deterministic global interleave, so validation results are
-	// bit-identical at any Partitions value (including 0, up to the
-	// partitioned fabric's longer inter-region links).
+	// Partitions, when > 0, runs the machine — and a warm-forked batch's
+	// warm state — on the partitioned engine with that many intra-machine
+	// workers. Fault injection forces the deterministic global interleave,
+	// so results are bit-identical at any Partitions ≥ 1. Partitions 0 is
+	// a different machine: the sequential engine without the partitioned
+	// fabric's longer inter-region links.
 	Partitions int
 	// RegionLinkExtra overrides the extra inter-region wire latency of a
 	// partitioned machine; 0 uses machine.DefaultRegionLinkExtra.
@@ -83,30 +79,14 @@ type ValidationConfig struct {
 	// use ("" or "paper" is the paper's policy on the byte-identical
 	// pre-strategy path; see internal/routing).
 	Routing string
-	// WarmStart selects how batch drivers amortize the cache-fill warm-up:
-	// the default (Auto) builds one warmed machine snapshot per worker and
-	// forks every run from it; Off rebuilds the warm state per run. Both
-	// modes are bit-identical. Single Validation runs ignore it.
-	WarmStart WarmStartMode
 	// BurstLines sizes the post-fork fill burst of warm-start runs; 0
 	// defaults to a quarter of the warm fill (minimum 8).
 	BurstLines int
 	// Trace, when non-nil, collects the run's event timeline. It applies
-	// to single Validation runs only: batch drivers clear it — the tracer
+	// to single Validation runs only: batches ignore it — the tracer
 	// itself is safe to share across goroutines, but interleaving many
 	// runs' simulated timelines into one trace produces nonsense.
 	Trace *trace.Tracer
-	// Observe, when non-nil, receives one obs.Batch announcement plus a
-	// per-run obs.RunRecord from every batch driver (ValidationBatch,
-	// TailCampaign); single runs ignore it. Records arrive in completion
-	// order; the driver never calls Finish — the owner of the sink does,
-	// after its last batch.
-	Observe obs.Sink
-	// runHook, when non-nil, runs at the start of every batch run with
-	// the run index. Test-only: it lets the suite crash a chosen run and
-	// assert that the runner's panic isolation turns it into a failed
-	// row instead of aborting the campaign.
-	runHook func(i int)
 }
 
 // DefaultValidationConfig returns a fast-but-faithful §5.2 setup: the
@@ -140,10 +120,7 @@ func Validation(cfg ValidationConfig, ft fault.Type, seed int64) *ValidationResu
 	f := fault.Random(m.E.Rand(), ft, m.Topo, 1)
 	res := &ValidationResult{Fault: f}
 	defer func() {
-		res.Events = m.E.EventsFired()
-		if m.P != nil {
-			res.Events = m.P.EventsFired()
-		}
+		res.Events = eventsFired(m)
 		res.Metrics = m.MetricsSnapshot()
 	}()
 
@@ -233,7 +210,5 @@ type Table53Row struct {
 	Metrics *metrics.Snapshot
 }
 
-// Batch driving lives in WarmValidationBatch (this package) and in the
-// flashfc Campaign API (ValidationCampaign); the pre-campaign wrappers
-// (ValidationBatch, Table53) are gone — aggregate WarmValidationBatch
-// results into Table53Row per fault type instead.
+// Batches of validation runs go through RunBatch: the flashfc Campaign
+// API's ValidationCampaign for Table 5.3, TailCampaign for the tail.

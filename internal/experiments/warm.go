@@ -7,31 +7,10 @@ import (
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
 	"flashfc/internal/obs"
-	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/trace"
 	"flashfc/internal/workload"
 )
-
-// WarmStartMode selects how a batch driver amortizes warm-up: Auto (the
-// zero value) and On share one warmed machine snapshot per worker and fork
-// every run from it; Off builds a private warm state for every run. Both
-// modes execute the identical per-run computation — fork from a snapshot of
-// the same deterministic warm-up — so they are bit-identical; Off exists as
-// the cross-check (and the cost baseline the benchmarks compare against).
-type WarmStartMode int
-
-const (
-	// WarmStartAuto is the default: warm-start on.
-	WarmStartAuto WarmStartMode = iota
-	// WarmStartOff rebuilds the warm state privately for every run.
-	WarmStartOff
-	// WarmStartOn shares one warm snapshot per worker (same as Auto).
-	WarmStartOn
-)
-
-// Enabled reports whether runs may share a warm snapshot.
-func (m WarmStartMode) Enabled() bool { return m != WarmStartOff }
 
 // WarmState is a warmed-up validation machine, frozen pre-fault: the
 // snapshot is immutable and every run forks its own machine from it, so one
@@ -45,19 +24,23 @@ type WarmState struct {
 
 // WarmupValidation builds the §5.2 validation machine, runs the cache fill
 // to completion, drains the engine to a quiescent point, and freezes it.
-// The warm-up is seeded by warmSeed alone — derive it with
-// DeriveSeed(base, StreamWarmup, 0), never from a run index — so every
-// worker of a campaign reconstructs the identical snapshot. It panics if
-// the fill cannot quiesce within cfg.Deadline (batch drivers turn that
-// into failed runs via the runner's panic isolation).
+// The warm-up is seeded by warmSeed alone — derive it with WarmSeed(base),
+// never from a run index — so every worker of a campaign reconstructs the
+// identical snapshot. It panics if the fill cannot quiesce within
+// cfg.Deadline (RunBatch turns that into failed runs via the runner's
+// panic isolation).
 //
-// The warm-up machine is never traced: with warm-start, a run's trace
-// covers the forked portion only, in both warm-start modes.
+// The warm-up machine is never traced, and the state drops cfg.Trace:
+// with warm-start, a run's trace covers the forked portion only, in both
+// warm-start modes.
 func WarmupValidation(cfg ValidationConfig, warmSeed int64) *WarmState {
+	cfg.Trace = nil
 	mc := machine.DefaultConfig(cfg.Nodes)
 	mc.Seed = warmSeed
 	mc.MemBytes = cfg.MemBytes
 	mc.L2Bytes = cfg.L2Bytes
+	mc.Partitions = cfg.Partitions
+	mc.RegionLinkExtra = cfg.RegionLinkExtra
 	// The strategy is carried in the snapshot config so forks recover with
 	// it; pristine tables are shared by every strategy, so the warm-up
 	// itself is strategy-independent.
@@ -71,12 +54,12 @@ func WarmupValidation(cfg ValidationConfig, warmSeed int64) *WarmState {
 	filler.Start(func() { done = true })
 	// The fill's completion callback is not quiescence: evicted-line
 	// writebacks are fire-and-forget, so drain until nothing is pending.
-	for (!done || m.E.Pending() > 0) && m.E.Now() < cfg.Deadline {
-		m.E.RunUntil(m.E.Now() + sim.Millisecond)
+	for (!done || pendingEvents(m) > 0) && m.Now() < cfg.Deadline {
+		m.Advance(m.Now() + sim.Millisecond)
 	}
-	if !done || m.E.Pending() > 0 {
+	if !done || pendingEvents(m) > 0 {
 		panic(fmt.Sprintf("experiments: warm-up did not quiesce within %v (fill done=%v, %d events pending)",
-			cfg.Deadline, done, m.E.Pending()))
+			cfg.Deadline, done, pendingEvents(m)))
 	}
 	return &WarmState{Cfg: cfg, Snap: m.Snapshot(), FillLines: filler.FillLines}
 }
@@ -110,7 +93,7 @@ func ValidationFromWarm(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.T
 	f := fault.Random(rng, ft, m.Topo, 1)
 	res := &ValidationResult{Fault: f}
 	defer func() {
-		res.Events = m.E.EventsFired()
+		res.Events = eventsFired(m)
 		res.Metrics = m.MetricsSnapshot()
 	}()
 
@@ -124,9 +107,9 @@ func ValidationFromWarm(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.T
 	burstDone := false
 	burst.Start(func() { burstDone = true })
 	// The fork resumes at the warm-up's clock, so the deadline is relative.
-	deadline := m.E.Now() + cfg.Deadline
-	for !burstDone && m.E.Now() < deadline {
-		m.E.RunUntil(m.E.Now() + sim.Millisecond)
+	deadline := m.Now() + cfg.Deadline
+	for !burstDone && m.Now() < deadline {
+		m.Advance(m.Now() + sim.Millisecond)
 	}
 	if !injected {
 		m.Inject(f)
@@ -146,46 +129,34 @@ func ValidationFromWarm(ws *WarmState, ft fault.Type, runSeed int64, tr *trace.T
 	return res
 }
 
-// ValidationWarm is the one-shot warm-start run: a private warm-up
-// followed by one fork. It is the warm-start-off unit of work, and the
-// "fresh" side of the fork-vs-fresh determinism contract.
-func ValidationWarm(cfg ValidationConfig, ft fault.Type, warmSeed, runSeed int64) *ValidationResult {
-	ws := WarmupValidation(cfg, warmSeed)
-	return ValidationFromWarm(ws, ft, runSeed, cfg.Trace)
+// pendingEvents counts the events queued on m's engine, sequential or
+// partitioned.
+func pendingEvents(m *machine.Machine) int {
+	if m.P != nil {
+		return m.P.Pending()
+	}
+	return m.E.Pending()
 }
 
-// WarmValidationBatch runs `runs` warm-start validation runs of one fault
-// type. Mode On/Auto: each worker builds the warm snapshot once and every
-// run forks from it. Mode Off: every run builds its own warm state. The
-// two are bit-identical; Off only pays the warm-up once per run instead of
-// once per worker. runner.DeriveSeed keys the warm-up on (seed,
-// StreamWarmup, 0) and each run on (seed, StreamValidation+ft, i), so
-// results are independent of worker count and of the other runs.
-func WarmValidationBatch(cfg ValidationConfig, ft fault.Type, runs int, seed int64) ([]runner.Result[*ValidationResult], runner.Stats) {
-	bcfg := cfg
-	bcfg.Trace = nil
-	warmSeed := runner.DeriveSeed(seed, runner.StreamWarmup, 0)
-	runSeed := func(i int) int64 { return runner.DeriveSeed(seed, runner.StreamValidation+int(ft), i) }
-	observe := observeBatch(cfg.Observe,
-		obs.Batch{Label: "validation", Fault: ft.String(), Runs: runs}, runSeed)
-	if bcfg.WarmStart.Enabled() {
-		return runner.CampaignWithSetup(runs, cfg.Workers,
-			func() any { return WarmupValidation(bcfg, warmSeed) },
-			func(i int, ws any, rec *runner.Recorder) *ValidationResult {
-				if cfg.runHook != nil {
-					cfg.runHook(i)
-				}
-				r := ValidationFromWarm(ws.(*WarmState), ft, runSeed(i), nil)
-				rec.Report(r.Events)
-				return r
-			}, observe)
+// eventsFired is the number of events m's engine, sequential or
+// partitioned, has fired.
+func eventsFired(m *machine.Machine) uint64 {
+	if m.P != nil {
+		return m.P.EventsFired()
 	}
-	return runner.Campaign(runs, cfg.Workers, func(i int, rec *runner.Recorder) *ValidationResult {
-		if cfg.runHook != nil {
-			cfg.runHook(i)
-		}
-		r := ValidationWarm(bcfg, ft, warmSeed, runSeed(i))
-		rec.Report(r.Events)
-		return r
-	}, observe)
+	return m.E.EventsFired()
+}
+
+// forkedValidation is the warm-forked batch of one fault class's validation
+// runs on seed stream stream+ft: every run forks the campaign's warm
+// snapshot and runs ValidationFromWarm.
+func forkedValidation(cfg ValidationConfig, label string, stream int, ft fault.Type, runs int) Batch[*ValidationResult] {
+	return Batch[*ValidationResult]{
+		Batch:  obs.Batch{Label: label, Fault: ft.String(), Runs: runs},
+		Stream: stream + int(ft),
+		Warmup: func(seed int64) any { return WarmupValidation(cfg, seed) },
+		Run: func(_ int, ws any, seed int64) *ValidationResult {
+			return ValidationFromWarm(ws.(*WarmState), ft, seed, nil)
+		},
+	}
 }

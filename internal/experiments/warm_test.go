@@ -17,12 +17,11 @@ import (
 // below the batch drivers.
 func TestWarmForkVsFreshBitIdentical(t *testing.T) {
 	cfg := fastValidationConfig()
-	warmSeed := runner.DeriveSeed(7, runner.StreamWarmup, 0)
-	ws := WarmupValidation(cfg, warmSeed)
+	ws := WarmupValidation(cfg, WarmSeed(7))
 	for _, ft := range fault.AllTypes() {
 		runSeed := runner.DeriveSeed(7, runner.StreamValidation+int(ft), 3)
 		shared := ValidationFromWarm(ws, ft, runSeed, nil)
-		fresh := ValidationWarm(cfg, ft, warmSeed, runSeed)
+		fresh := ValidationFromWarm(WarmupValidation(cfg, WarmSeed(7)), ft, runSeed, nil)
 		if !shared.OK() {
 			t.Errorf("%v: warm run failed: %s", ft, shared.Note)
 		}
@@ -37,7 +36,7 @@ func TestWarmForkVsFreshBitIdentical(t *testing.T) {
 // first execution.
 func TestWarmSnapshotNoCrossForkContamination(t *testing.T) {
 	cfg := fastValidationConfig()
-	ws := WarmupValidation(cfg, runner.DeriveSeed(7, runner.StreamWarmup, 0))
+	ws := WarmupValidation(cfg, WarmSeed(7))
 	first := ValidationFromWarm(ws, fault.NodeFailure, 1234, nil)
 	for seed := int64(10); seed < 14; seed++ {
 		ValidationFromWarm(ws, fault.Type(seed%5), seed, nil)
@@ -54,10 +53,8 @@ func TestWarmOnOffBitIdenticalAcrossWorkers(t *testing.T) {
 	outcomes := map[string][]runner.Result[*ValidationResult]{}
 	for _, mode := range []WarmStartMode{WarmStartOn, WarmStartOff} {
 		for _, workers := range []int{1, 8} {
-			cfg := fastValidationConfig()
-			cfg.WarmStart = mode
-			cfg.Workers = workers
-			results, _ := validationBatch(cfg, fault.RouterFailure, 6, 3)
+			cc := CampaignConfig{Seed: 3, Runs: 6, Workers: workers, WarmStart: mode}
+			results, _ := RunBatch(cc, validationBatch(fastValidationConfig(), fault.RouterFailure, 6))
 			for i, r := range results {
 				if r.Err != nil {
 					t.Fatalf("mode=%v workers=%d run %d crashed: %v", mode, workers, i, r.Err)
@@ -88,9 +85,8 @@ func TestWarmOnOffBitIdenticalAcrossWorkers(t *testing.T) {
 // order shows as a diff. Regenerate intentional changes with
 // `go test ./internal/experiments -run WarmMetricsGolden -update`.
 func TestWarmMetricsGoldenSnapshot(t *testing.T) {
-	cfg := fastValidationConfig()
-	cfg.Workers = 4
-	results, _ := validationBatch(cfg, fault.NodeFailure, 4, 7)
+	cc := CampaignConfig{Seed: 7, Runs: 4, Workers: 4}
+	results, _ := RunBatch(cc, validationBatch(fastValidationConfig(), fault.NodeFailure, 4))
 	for i, r := range results {
 		if r.Err != nil || !r.Value.OK() {
 			t.Fatalf("run %d failed: err=%v note=%s", i, r.Err, r.Value.Note)
@@ -123,16 +119,14 @@ func TestWarmMetricsGoldenSnapshot(t *testing.T) {
 // `go test ./internal/experiments -run WarmTraceGolden -update`.
 func TestWarmTraceGoldenSpanExport(t *testing.T) {
 	jsonFor := func() []byte {
-		cfg := traceValidationConfig()
-		cfg.Trace = trace.New(0)
-		r := ValidationWarm(cfg, fault.NodeFailure,
-			runner.DeriveSeed(7, runner.StreamWarmup, 0),
-			runner.DeriveSeed(7, runner.StreamValidation+int(fault.NodeFailure), 0))
+		tr := trace.New(0)
+		r := ValidationFromWarm(WarmupValidation(traceValidationConfig(), WarmSeed(7)), fault.NodeFailure,
+			runner.DeriveSeed(7, runner.StreamValidation+int(fault.NodeFailure), 0), tr)
 		if !r.OK() {
 			t.Fatalf("run failed: %s", r.Note)
 		}
 		var buf bytes.Buffer
-		if err := cfg.Trace.WriteChromeJSON(&buf); err != nil {
+		if err := tr.WriteChromeJSON(&buf); err != nil {
 			t.Fatalf("WriteChromeJSON: %v", err)
 		}
 		return buf.Bytes()

@@ -9,10 +9,9 @@ import (
 
 // Campaign observability (internal/obs): per-run record streams, live
 // progress reporting, and tail-exemplar trace replay. Attach a Sink via
-// CampaignConfig.Observe or ValidationConfig.Observe/TailConfig.Observe;
-// the campaign announces each batch and emits one RunRecord per run in
-// completion order, and the sink's owner calls Finish after the last
-// batch.
+// CampaignConfig.Observe — every campaign family honours it; each batch is
+// announced and emits one RunRecord per run in completion order, and the
+// sink's owner calls Finish after the last batch.
 type (
 	// RunRecord is one campaign run reduced to a flat, serializable record:
 	// run index, derived seed, fault, outcome, containment time, events,
