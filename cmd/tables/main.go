@@ -172,6 +172,7 @@ func tableTail(cf *cliflags.Flags) {
 		fmt.Println("\n* p999 interpolated, not supported by a real observation; rerun with -full")
 	}
 	fmt.Printf("\nthroughput: %v\n", res.Stats)
+	emitCampaignMetrics([]*flashfc.MetricsSnapshot{res.Metrics}, cf.Metrics)
 	if cf.Exemplars != "" {
 		writeExemplars(cf, cfg, res)
 	}
@@ -249,6 +250,7 @@ func tableRouting(cf *cliflags.Flags) {
 		fmt.Println()
 	}
 	fmt.Printf("throughput: %v\n", res.Stats)
+	emitCampaignMetrics([]*flashfc.MetricsSnapshot{res.Metrics}, cf.Metrics)
 	if cyclic > 0 {
 		fmt.Fprintf(os.Stderr, "routing: %d runs installed cyclic tables (deadlock possible)\n", cyclic)
 		os.Exit(1)

@@ -7,6 +7,7 @@ import (
 
 	"flashfc/internal/fault"
 	"flashfc/internal/machine"
+	"flashfc/internal/metrics"
 	"flashfc/internal/obs"
 	"flashfc/internal/routing"
 	"flashfc/internal/runner"
@@ -87,6 +88,9 @@ type RoutingRun struct {
 	// under the repaired tables.
 	Throughput float64
 	Events     uint64
+	// Metrics is the run's machine-wide metric snapshot (always set, even
+	// on failure).
+	Metrics *metrics.Snapshot
 }
 
 // RoutingCell aggregates one (scenario, strategy) batch.
@@ -117,6 +121,10 @@ type RoutingScenario struct {
 type RoutingResult struct {
 	Scenarios []RoutingScenario
 	Stats     runner.Stats
+	// Metrics is the campaign aggregate: every non-crashed run's snapshot,
+	// merged in (scenario, strategy, run) order; nil unless
+	// CampaignConfig.Metrics was set.
+	Metrics *metrics.Snapshot
 }
 
 // RoutingCampaign runs the head-to-head comparison: for every scenario and
@@ -139,14 +147,23 @@ func RoutingCampaign(cc CampaignConfig, cfg RoutingConfig) *RoutingResult {
 		scenarios = DefaultRoutingScenarios()
 	}
 	out := &RoutingResult{}
+	var snaps []*metrics.Snapshot
 	for si, spec := range scenarios {
 		sc := RoutingScenario{Spec: spec}
 		for _, strat := range strategies {
 			results, st := RunBatch(cc, routingCellBatch(cfg.ValidationConfig, strat, spec, si, cc.Runs))
 			sc.Cells = append(sc.Cells, reduceRoutingCell(strat, results))
 			out.Stats.Merge(st)
+			for _, r := range results {
+				if cc.Metrics && r.Err == nil {
+					snaps = append(snaps, r.Value.Metrics)
+				}
+			}
 		}
 		out.Scenarios = append(out.Scenarios, sc)
+	}
+	if cc.Metrics {
+		out.Metrics = runner.MergeMetrics(snaps)
 	}
 	return out
 }
@@ -239,7 +256,10 @@ func RoutingFromWarm(ws *WarmState, strat string, spec RoutingScenarioSpec, runS
 	rng := rand.New(rand.NewSource(runSeed))
 	faults := routingFaults(rng, spec, m.Topo)
 	res := &RoutingRun{Strategy: strat, Faults: faults}
-	defer func() { res.Events = eventsFired(m) }()
+	defer func() {
+		res.Events = eventsFired(m)
+		res.Metrics = m.MetricsSnapshot()
+	}()
 
 	burst := workload.NewFillerSeeded(m, runSeed)
 	burst.FillLines = ws.burstLines()

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"flashfc/internal/fault"
+	"flashfc/internal/metrics"
 	"flashfc/internal/runner"
 	"flashfc/internal/sim"
 	"flashfc/internal/stats"
@@ -74,6 +75,10 @@ type TailExemplar struct {
 type TailResult struct {
 	Scenarios []TailScenario
 	Stats     runner.Stats
+	// Metrics is the campaign aggregate: every non-crashed run's snapshot,
+	// merged in (scenario, run) order; nil unless CampaignConfig.Metrics
+	// was set.
+	Metrics *metrics.Snapshot
 }
 
 // TailCampaign runs the tail analysis: for every requested fault class,
@@ -93,6 +98,7 @@ func TailCampaign(cc CampaignConfig, cfg TailConfig) *TailResult {
 		faults = fault.ExtendedTypes()
 	}
 	out := &TailResult{}
+	var snaps []*metrics.Snapshot
 	for _, ft := range faults {
 		sc := TailScenario{Fault: ft, Runs: cc.Runs}
 		results, st := RunBatch(cc, forkedValidation(cfg.ValidationConfig, "tail", runner.StreamTail, ft, cc.Runs))
@@ -100,6 +106,9 @@ func TailCampaign(cc CampaignConfig, cfg TailConfig) *TailResult {
 		var affected []float64
 		var passing []tailObs
 		for i, r := range results {
+			if cc.Metrics && r.Err == nil {
+				snaps = append(snaps, r.Value.Metrics)
+			}
 			if r.Err != nil || !r.Value.OK() {
 				sc.Failed++
 				continue
@@ -122,6 +131,9 @@ func TailCampaign(cc CampaignConfig, cfg TailConfig) *TailResult {
 		sc.Affected = stats.Summarize(affected)
 		out.Stats.Merge(st)
 		out.Scenarios = append(out.Scenarios, sc)
+	}
+	if cc.Metrics {
+		out.Metrics = runner.MergeMetrics(snaps)
 	}
 	return out
 }

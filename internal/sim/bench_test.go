@@ -82,3 +82,57 @@ func BenchmarkTimerCancelPath(b *testing.B) {
 		e.RunUntil(e.Now() + 100)
 	}
 }
+
+// The partitioned barrier path must be allocation-free in steady state as
+// well: every window's cross-region messages are sorted in the reused merge
+// buffer and inserted through the pooled AtCall path, and the per-window
+// fired counters are reused. The guard covers the one-worker window path
+// and the global interleave; the parallel path's goroutine fan-out is not
+// part of the claim.
+func BenchmarkPartitionedBarrierMerge(b *testing.B) {
+	const L = Time(100)
+	// hopRing seeds tokens that hop to the next region exactly one
+	// lookahead after they fire, so every window fires, sends and merges.
+	hopRing := func(global bool) *Partitioned {
+		const regions = 4
+		p := NewPartitioned(1, regions, L, 1)
+		if global {
+			p.SetGlobalFrom(0)
+		}
+		var hop Callback
+		hop = func(_, _ any, u uint64) {
+			src := int(u)
+			dst := (src + 1) % regions
+			p.Send(src, dst, p.Region(src).Now()+L, nil, hop, nil, nil, uint64(dst))
+		}
+		for i := 0; i < regions; i++ {
+			for k := 0; k < 8; k++ {
+				p.Region(i).AtCall(Time(1+11*k+3*i), hop, nil, nil, uint64(i))
+			}
+		}
+		return p
+	}
+	for _, global := range []bool{false, true} {
+		p := hopRing(global)
+		step := func() { p.RunUntil(p.Now() + 4*L) }
+		for i := 0; i < 1024; i++ { // warm the pools, wheel slots and buffers
+			step()
+		}
+		merged := p.Merged()
+		if allocs := testing.AllocsPerRun(1000, step); allocs != 0 {
+			b.Fatalf("barrier merge (global %v) allocates %.2f allocs/op, want 0", global, allocs)
+		}
+		if p.Merged() == merged {
+			b.Fatalf("global %v: no cross-region message merged", global)
+		}
+	}
+	p := hopRing(false)
+	for i := 0; i < 1024; i++ {
+		p.RunUntil(p.Now() + 4*L)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p.RunUntil(p.Now() + 4*L)
+	}
+}

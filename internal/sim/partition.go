@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -51,6 +53,11 @@ type Partitioned struct {
 
 	outbox  [][]xmsg // per source region, filled during a window
 	sendIdx []uint32 // per source region, reset at each barrier
+	// mergeBuf is the barrier's sort buffer and fired the per-region
+	// fired-event deltas of the current window; both are reused across
+	// barriers so that a steady state of windows allocates nothing.
+	mergeBuf []*xmsg
+	fired    []uint64
 
 	// onBarrier, when non-nil, runs single-threaded after every barrier
 	// merge with the barrier time. The machine layer uses it to drain
@@ -130,6 +137,7 @@ func NewPartitionedFromEngines(engines []*Engine, lookahead Time, workers int) *
 		windowStart: now,
 		outbox:      make([][]xmsg, len(engines)),
 		sendIdx:     make([]uint32, len(engines)),
+		fired:       make([]uint64, len(engines)),
 		idleWindows: make([]uint64, len(engines)),
 		mergedIn:    make([]uint64, len(engines)),
 	}
@@ -241,12 +249,12 @@ func (p *Partitioned) RegionLoad(i int) (fired, idleWindows, mergedIn uint64) {
 // Engine.RunUntil it executes events with timestamps <= t and leaves every
 // clock at t.
 func (p *Partitioned) RunUntil(t Time) {
-	for p.windowStart < t {
-		end := p.windowStart + p.lookahead
-		if end > t {
-			end = t
+	for {
+		p.skipIdle(t)
+		if p.windowStart >= t {
+			break
 		}
-		p.runWindow(end)
+		p.runWindow(min(p.windowStart+p.lookahead, t))
 	}
 	// Windows ran events with at < t; finish the RunUntil contract by
 	// firing the events at exactly t, then merging what they sent.
@@ -256,7 +264,48 @@ func (p *Partitioned) RunUntil(t Time) {
 // Run advances windows until no work remains anywhere.
 func (p *Partitioned) Run() {
 	for p.Pending() > 0 {
+		p.skipIdle(math.MaxInt64)
 		p.runWindow(p.windowStart + p.lookahead)
+	}
+}
+
+// skipIdle fast-forwards over whole windows that provably fire nothing.
+// With every outbox empty and no barrier hook installed, a window that ends
+// at or before the earliest resident event of every region (a cancelled
+// one included) fires nothing anywhere, merges nothing and calls nothing:
+// running it only moves the clocks to its end, counts one barrier and one
+// idle window per region. skipIdle applies K such windows at once — those
+// ending at or before min(earliest event, limit) — so Barriers, RegionLoad
+// and every clock read exactly as after window-by-window execution. The
+// barrier hook disables it: the hook is owed one call per window.
+func (p *Partitioned) skipIdle(limit Time) {
+	if p.onBarrier != nil {
+		return
+	}
+	for _, ob := range p.outbox {
+		if len(ob) > 0 {
+			return
+		}
+	}
+	floor := p.windowStart + p.lookahead
+	bound := limit
+	for _, e := range p.engines {
+		if ev := peekRegion(e); ev != nil && ev.at < bound {
+			if ev.at < floor {
+				return
+			}
+			bound = ev.at
+		}
+	}
+	k := (bound - p.windowStart) / p.lookahead
+	if k <= 0 {
+		return
+	}
+	p.windowStart += k * p.lookahead
+	p.barriers += uint64(k)
+	for i, e := range p.engines {
+		p.idleWindows[i] += uint64(k)
+		e.now = p.windowStart
 	}
 }
 
@@ -302,7 +351,7 @@ func (p *Partitioned) runWindowParallel(end Time) {
 	if workers > len(p.engines) {
 		workers = len(p.engines)
 	}
-	fired := make([]uint64, len(p.engines))
+	fired := p.fired
 	var next atomic.Int32
 	next.Store(-1)
 	var wg sync.WaitGroup
@@ -336,12 +385,13 @@ func (p *Partitioned) runWindowParallel(end Time) {
 // interleave gives cross-region handlers a single deterministic,
 // time-ordered thread of control.
 func (p *Partitioned) runWindowGlobal(end Time) {
-	fired := make([]uint64, len(p.engines))
+	fired := p.fired
+	clear(fired)
 	for {
 		best := -1
 		var bestAt Time
 		for i, e := range p.engines {
-			ev := e.peekNext()
+			ev := peekRegion(e)
 			if ev == nil || ev.at >= end {
 				continue
 			}
@@ -390,7 +440,7 @@ func (p *Partitioned) runBoundary(t Time) {
 		best := -1
 		var bestAt Time
 		for i, e := range p.engines {
-			ev := e.peekNext()
+			ev := peekRegion(e)
 			if ev == nil || ev.at > t {
 				continue
 			}
@@ -422,40 +472,64 @@ func (p *Partitioned) runBoundary(t Time) {
 // destination engine, ordered by (deliverAt, sentAt, srcRegion, srcIndex).
 // Every key component is host-independent, so the resulting engine-local
 // sequence numbers — and therefore all downstream (time, seq) tie-breaks —
-// are identical at any worker count. Runs single-threaded.
+// are identical at any worker count. Runs single-threaded. The messages
+// stay in their outboxes; the reused merge buffer sorts pointers to them.
+// Both keep their capacity across barriers and have their spent entries
+// cleared, so merged closures and arguments are not pinned.
 func (p *Partitioned) mergeOutboxes() {
-	var all []xmsg
+	all := p.mergeBuf[:0]
+	for _, ob := range p.outbox {
+		for i := range ob {
+			all = append(all, &ob[i])
+		}
+	}
+	if len(all) > 0 {
+		slices.SortFunc(all, compareXmsg)
+		for _, m := range all {
+			e := p.engines[m.dst]
+			if m.cb != nil {
+				e.AtCall(m.at, m.cb, m.a1, m.a2, m.u)
+			} else {
+				e.At(m.at, m.fn)
+			}
+			p.mergedIn[m.dst]++
+		}
+		p.merged += uint64(len(all))
+		clear(all)
+	}
+	p.mergeBuf = all[:0]
 	for src, ob := range p.outbox {
-		all = append(all, ob...)
+		clear(ob)
 		p.outbox[src] = ob[:0]
 		p.sendIdx[src] = 0
 	}
-	if len(all) == 0 {
-		return
+}
+
+// compareXmsg orders cross-region messages by the merge key (deliverAt,
+// sentAt, srcRegion, srcIndex). The key is unique per message, so any sort
+// yields the one deterministic order.
+func compareXmsg(a, b *xmsg) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.sent != b.sent {
-			return a.sent < b.sent
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.idx < b.idx
-	})
-	for _, m := range all {
-		e := p.engines[m.dst]
-		if m.cb != nil {
-			e.AtCall(m.at, m.cb, m.a1, m.a2, m.u)
-		} else {
-			e.At(m.at, m.fn)
-		}
-		p.mergedIn[m.dst]++
+	if c := cmp.Compare(a.sent, b.sent); c != 0 {
+		return c
 	}
-	p.merged += uint64(len(all))
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// peekRegion is peekNext for the coordinator's per-region scans: a region
+// with nothing resident answers without scanning its wheel. Idle regions
+// are the common case when the global interleave peeks every region before
+// every fire.
+func peekRegion(e *Engine) *event {
+	if e.total == 0 {
+		return nil
+	}
+	return e.peekNext()
 }
 
 // runBefore executes events with timestamps strictly below t, then advances

@@ -330,3 +330,181 @@ func TestPartitionedFromEngines(t *testing.T) {
 	}()
 	NewPartitionedFromEngines([]*Engine{a, c}, 300, 2)
 }
+
+// sparseResult is everything observable about one drive of the sparse
+// fast-forward program: per-region fire logs, and after every drive step
+// the coordinator clock, every region clock, Barriers and RegionLoad.
+type sparseResult struct {
+	Logs  [][]string
+	Steps []string
+}
+
+// runSparse drives a randomized sparse schedule — events many windows
+// apart, some exactly on window ends — through RunUntil targets on and off
+// the window grid, with Sends issued between windows and SetGlobalFrom
+// thresholds that land inside idle spans, then finishes with Run. A no-op
+// barrier hook (hook) disables the empty-window fast-forward, which makes
+// the same drive the window-by-window reference. With shared, every
+// handler logs into one log under the global interleave from the start, so
+// the log also pins the cross-region fire order.
+func runSparse(seed int64, regions, workers int, hook, shared bool) sparseResult {
+	const L = Time(1000)
+	p := NewPartitioned(seed, regions, L, workers)
+	if hook {
+		p.OnBarrier(func(Time) {})
+	}
+	if shared {
+		p.SetGlobalFrom(0)
+	}
+	logs := make([][]string, regions)
+	logOf := func(region int) *[]string {
+		if shared {
+			return &logs[0]
+		}
+		return &logs[region]
+	}
+	// gap draws a sparse delay: mostly tens of windows, sometimes an exact
+	// multiple of L so the event sits on a window end.
+	gap := func(r *rand.Rand) Time {
+		if r.Intn(3) == 0 {
+			return L * Time(1+r.Intn(40))
+		}
+		return Time(1 + r.Intn(int(40*L)))
+	}
+	var handler func(region, depth int) func()
+	handler = func(region, depth int) func() {
+		return func() {
+			e := p.Region(region)
+			l := logOf(region)
+			*l = append(*l, fmt.Sprintf("r%d@%d d%d", region, e.Now(), depth))
+			if depth >= 4 {
+				return
+			}
+			r := e.Rand()
+			for j, n := 0, 1+r.Intn(2); j < n; j++ {
+				if regions > 1 && r.Intn(2) == 0 {
+					dst := r.Intn(regions)
+					p.Send(region, dst, e.Now()+L+gap(r), handler(dst, depth+1), nil, nil, nil, 0)
+				} else {
+					e.After(gap(r), handler(region, depth+1))
+				}
+			}
+		}
+	}
+	for i := 0; i < regions; i++ {
+		e := p.Region(i)
+		e.At(L*Time(3+7*i), handler(i, 0))                       // on a window end
+		e.At(Time(1+5003*i+e.Rand().Intn(90000)), handler(i, 0)) // anywhere
+	}
+
+	var res sparseResult
+	record := func(what string) {
+		s := fmt.Sprintf("%s now=%d barriers=%d clocks=", what, p.Now(), p.Barriers())
+		for i := 0; i < regions; i++ {
+			f, idle, in := p.RegionLoad(i)
+			s += fmt.Sprintf("[%d f%d i%d m%d]", p.Region(i).Now(), f, idle, in)
+		}
+		res.Steps = append(res.Steps, s)
+	}
+	drive := rand.New(rand.NewSource(seed ^ 0x5ca1ab1e))
+	for step := 0; p.Pending() > 0 && step < 400; step++ {
+		switch drive.Intn(5) {
+		case 0:
+			// A Send issued between windows, from a region whose clock
+			// is current; it must be merged before anything skips.
+			src, dst := drive.Intn(regions), drive.Intn(regions)
+			p.Send(src, dst, p.Now()+L+gap(drive), handler(dst, 3), nil, nil, nil, 0)
+		case 1:
+			// A global-mode threshold inside the coming idle span.
+			p.SetGlobalFrom(p.Now() + Time(drive.Intn(int(20*L))))
+		}
+		var target Time
+		switch drive.Intn(3) {
+		case 0:
+			target = p.Now() + L*Time(1+drive.Intn(30)) // on the grid
+		case 1:
+			target = p.Now() + Time(1+drive.Intn(int(30*L))) // off the grid
+		default:
+			target = p.Now() // a zero-length RunUntil
+		}
+		p.RunUntil(target)
+		record(fmt.Sprintf("until %d", target))
+	}
+	p.Run()
+	record("run")
+	res.Logs = logs
+	return res
+}
+
+// TestPartitionedFastForwardMatchesWindowByWindow is the fast-forward
+// property: skipping empty windows must leave fire order, Barriers,
+// RegionLoad and every clock exactly as window-by-window execution does.
+// The reference installs a no-op barrier hook, which disables skipping.
+func TestPartitionedFastForwardMatchesWindowByWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xfa57))
+	for trial := 0; trial < 16; trial++ {
+		seed := rng.Int63()
+		regions := 1 + rng.Intn(5)
+		for _, c := range []struct {
+			workers int
+			shared  bool
+		}{{1, false}, {3, false}, {2, true}} {
+			ref := runSparse(seed, regions, c.workers, true, c.shared)
+			got := runSparse(seed, regions, c.workers, false, c.shared)
+			n := 0
+			for _, l := range ref.Logs {
+				n += len(l)
+			}
+			if n == 0 {
+				t.Fatalf("trial %d: degenerate schedule, nothing fired", trial)
+			}
+			if !reflect.DeepEqual(got, ref) {
+				t.Fatalf("trial %d (seed %d, regions %d, workers %d, shared %v): fast-forward diverged from window-by-window\nref: %+v\ngot: %+v",
+					trial, seed, regions, c.workers, c.shared, ref, got)
+			}
+		}
+	}
+}
+
+// TestPartitionedFastForwardSkipsIdleWindows checks that the fast-forward
+// actually engages: a lone far event costs every logical window in the
+// counters but no executed window in between.
+func TestPartitionedFastForwardSkipsIdleWindows(t *testing.T) {
+	p := NewPartitioned(1, 2, 100, 1)
+	p.Region(1).At(1_000_050, func() {})
+	p.RunUntil(1_000_000)
+	if p.Now() != 1_000_000 || p.Region(0).Now() != 1_000_000 || p.Region(1).Now() != 1_000_000 {
+		t.Fatalf("clocks after RunUntil: coordinator %v, regions %v/%v", p.Now(), p.Region(0).Now(), p.Region(1).Now())
+	}
+	if p.Barriers() != 10_000 {
+		t.Fatalf("barriers %d, want 10000 logical windows", p.Barriers())
+	}
+	for i := 0; i < 2; i++ {
+		if _, idle, _ := p.RegionLoad(i); idle != 10_000 {
+			t.Fatalf("region %d idle windows %d, want 10000", i, idle)
+		}
+	}
+	p.Run()
+	if p.Barriers() != 10_001 || p.EventsFired() != 1 {
+		t.Fatalf("after Run: barriers %d fired %d, want 10001 and 1", p.Barriers(), p.EventsFired())
+	}
+
+	// A message sent between windows bounds the skip until it is merged:
+	// it must fire at its own time, not be stranded behind the skip.
+	var at Time
+	p.Send(0, 1, p.Now()+150, func() { at = p.Region(1).Now() }, nil, nil, nil, 0)
+	want := p.Now() + 150
+	p.RunUntil(p.Now() + 10_000)
+	if at != want {
+		t.Fatalf("between-window send fired at %v, want %v", at, want)
+	}
+
+	// A barrier hook is owed one call per window, so it disables skipping.
+	h := NewPartitioned(1, 2, 100, 1)
+	calls := 0
+	h.OnBarrier(func(Time) { calls++ })
+	h.RunUntil(1_000_000)
+	if calls != 10_000 || h.Barriers() != 10_000 {
+		t.Fatalf("hooked run: %d hook calls, %d barriers, want 10000 each", calls, h.Barriers())
+	}
+}

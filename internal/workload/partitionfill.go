@@ -58,23 +58,35 @@ func NewPartitionFill(m *machine.Machine) *PartitionFill {
 // Start submits every node's accesses. Call it before the first Advance;
 // poll Done between windows.
 func (f *PartitionFill) Start() {
+	f.total = int64(f.M.Cfg.Nodes) * int64(f.OpsPerNode)
+	f.remaining.Store(f.total)
+	f.program(func(id int, op proc.Op) { f.M.Nodes[id].CPU.Submit(op) })
+}
+
+// program generates every node's access list in node order and hands each
+// operation to submit. Node id's accesses come from a stream seeded with
+// (machine seed, id) alone. One rand.Rand is reseeded per node rather than
+// built per node — Seed restarts the identical stream a fresh source would
+// produce — and every operation shares one bound completion callback, so
+// generating the program allocates nothing per node or per access.
+func (f *PartitionFill) program(submit func(id int, op proc.Op)) {
 	nodes := f.M.Cfg.Nodes
 	lines := int64(f.M.Cfg.MemBytes / 128)
-	f.total = int64(nodes) * int64(f.OpsPerNode)
-	f.remaining.Store(f.total)
-	for id, n := range f.M.Nodes {
-		rng := rand.New(rand.NewSource(f.M.Cfg.Seed ^ (int64(id)+1)*0x5851f42d4c957f2d))
+	done := f.complete
+	rng := rand.New(rand.NewSource(0))
+	for id := range f.M.Nodes {
+		rng.Seed(f.M.Cfg.Seed ^ (int64(id)+1)*0x5851f42d4c957f2d)
 		for i := 0; i < f.OpsPerNode; i++ {
 			target := id
 			if rng.Float64() >= f.LocalFraction {
 				target = rng.Intn(nodes)
 			}
 			addr := f.M.Space.Base(target) + coherence.Addr(rng.Int63n(lines)*128)
-			op := proc.Op{Kind: proc.OpRead, Addr: addr, Done: f.complete}
+			op := proc.Op{Kind: proc.OpRead, Addr: addr, Done: done}
 			if rng.Float64() < f.ExclusiveFraction {
 				op.Kind = proc.OpReadExclusive
 			}
-			n.CPU.Submit(op)
+			submit(id, op)
 		}
 	}
 }
